@@ -9,9 +9,12 @@
    Default is the quick sweep; --full runs the paper-sized sweeps.
    --jobs N fans the experiment cells out over N domains (lib/exec) and
    additionally reports parallel-vs-serial wall-clock and speedup from
-   fresh uncached sweeps. *)
+   fresh uncached sweeps. Two other modes: --trace-overhead (the CI
+   tracing-cost gate) and --serve (the serve load generator and oracle);
+   see --help. A malformed or unknown flag exits 124. *)
 
 open Bap_experiments.Common
+open Cmdliner
 module Pki = Bap_crypto.Pki
 module Engine = Bap_exec.Engine
 module Pool = Bap_exec.Pool
@@ -87,43 +90,15 @@ let run_benches () =
       instance raw
   in
   Printf.printf "\n== Bechamel micro-benchmarks (one full n=31 execution per run) ==\n";
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
+  Hashtbl.fold
+    (fun name ols rows ->
       match Analyze.OLS.estimates ols with
-      | Some [ ns ] -> rows := (name, ns) :: !rows
-      | _ -> ())
-    results;
-  List.iter
-    (fun (name, ns) -> Printf.printf "%-45s %10.2f ms/execution\n" name (ns /. 1e6))
-    (List.sort compare !rows)
-
-let int_flag args name ~default =
-  let rec find = function
-    | f :: v :: _ when f = name -> (
-      match int_of_string_opt v with Some n -> max 1 n | None -> default)
-    | _ :: rest -> find rest
-    | [] -> default
-  in
-  find args
-
-(* Like [int_flag] but 0 is a meaningful value (e.g. --retransmit 0). *)
-let nat_flag args name ~default =
-  let rec find = function
-    | f :: v :: _ when f = name -> (
-      match int_of_string_opt v with Some n -> max 0 n | None -> default)
-    | _ :: rest -> find rest
-    | [] -> default
-  in
-  find args
-
-let string_flag args name =
-  let rec find = function
-    | f :: v :: _ when f = name -> Some v
-    | _ :: rest -> find rest
-    | [] -> None
-  in
-  find args
+      | Some [ ns ] -> (name, ns) :: rows
+      | _ -> rows)
+    results []
+  |> List.sort compare
+  |> List.iter (fun (name, ns) ->
+         Printf.printf "%-45s %10.2f ms/execution\n" name (ns /. 1e6))
 
 let write_file path contents =
   let oc = open_out_bin path in
@@ -137,46 +112,45 @@ let write_file path contents =
    must carry exactly the bytes a serial batch recomputation produces.
    --harness-chaos SEED turns the same run hostile: corrupted payload
    bytes and mid-frame disconnects on the wire, crash/hang injection in
-   the server's supervisor. Exit 1 on any oracle failure. *)
-let serve_bench args ~jobs =
+   the server's supervisor. Exit 1 on any oracle failure.
+
+   Client resilience (socket mode): [reconnect] retries a dead server
+   with deterministic seeded backoff, [retransmit] re-sends unanswered
+   ids on fresh connections, and [exactly_once] tightens the oracle into
+   the crash-restart property (no loss, no duplicates). That triple is
+   what the serve-crash CI job drives against a SIGKILLed-and-resumed
+   daemon. *)
+type serve_opts = {
+  instances : int;
+  n : int;
+  socket : string option;
+  reconnect : int;
+  retransmit : int;
+  client_seed : int;
+  exactly_once : bool;
+  families : Bap_servelib.Instance.family list;
+  chaos_seed : int option;
+}
+
+let serve_bench
+    {
+      instances;
+      n;
+      socket;
+      reconnect;
+      retransmit;
+      client_seed;
+      exactly_once;
+      families;
+      chaos_seed;
+    } ~jobs =
   let module Load = Bap_servelib.Load in
   let module Server = Bap_servelib.Server in
-  let module Instance = Bap_servelib.Instance in
   let module Harness = Bap_chaos.Harness in
-  let instances = int_flag args "--instances" ~default:2000 in
-  let n = int_flag args "--n" ~default:4 in
-  let socket = string_flag args "--serve-socket" in
-  (* Client resilience (socket mode): --reconnect N retries a dead
-     server with deterministic seeded backoff, --retransmit N re-sends
-     unanswered ids on fresh connections, --exactly-once tightens the
-     oracle into the crash-restart property (no loss, no duplicates).
-     That triple is what the serve-crash CI job drives against a
-     SIGKILLed-and-resumed daemon. *)
-  let reconnect = nat_flag args "--reconnect" ~default:0 in
-  let retransmit = nat_flag args "--retransmit" ~default:0 in
-  let client_seed = nat_flag args "--client-seed" ~default:0 in
-  let exactly_once = List.mem "--exactly-once" args in
-  let families =
-    match string_flag args "--families" with
-    | None -> [ Instance.Unauth; Instance.Es; Instance.Pk ]
-    | Some s ->
-      String.split_on_char ',' s
-      |> List.filter_map (fun f ->
-             match String.trim f with
-             | "unauth" -> Some Instance.Unauth
-             | "auth" -> Some Instance.Auth
-             | "es" -> Some Instance.Es
-             | "pk" -> Some Instance.Pk
-             | "" -> None
-             | other ->
-               Printf.eprintf "unknown family %S ignored\n" other;
-               None)
-  in
   let chaos =
-    match string_flag args "--harness-chaos" with
+    match chaos_seed with
     | None -> None
-    | Some s ->
-      let seed = Option.value ~default:0 (int_of_string_opt s) in
+    | Some seed ->
       (* Disconnects only make sense where reconnecting does (sockets);
          in pipe mode a hangup would just truncate the whole plan.
          Crash/hang rates are milder than the sweep harness defaults:
@@ -272,50 +246,132 @@ let trace_overhead ~jobs ~alloc =
     exit 1
   end
 
-let () =
-  let args = Array.to_list Sys.argv in
-  let full = List.mem "--full" args in
-  let tables_only = List.mem "--tables-only" args in
-  let bench_only = List.mem "--bench-only" args in
-  let no_cache = List.mem "--no-cache" args in
-  let jobs = int_flag args "--jobs" ~default:1 in
-  let trace_out = string_flag args "--trace-out" in
-  let metrics_json = string_flag args "--metrics-json" in
-  let quick = not full in
-  if List.mem "--trace-overhead" args then begin
-    trace_overhead ~jobs ~alloc:(List.mem "--alloc" args);
-    exit 0
-  end;
-  if List.mem "--serve" args then exit (serve_bench args ~jobs);
-  (match trace_out with
-  | Some path -> Tel.install ~wall:true (Tel.Jsonl path)
-  | None -> if metrics_json <> None then Tel.install Tel.Counters_only);
-  if not bench_only then begin
-    Printf.printf "Experiment tables (E1-E13; see DESIGN.md and EXPERIMENTS.md)%s\n"
-      (if full then " [full sweeps]" else " [quick sweeps; pass --full for paper-sized]");
-    let cache = if no_cache then None else Some (Cache.create ~dir:Cache.default_dir ()) in
-    let stats =
-      Pool.with_pool ~jobs (fun pool ->
-          Bap_experiments.Runner.run_all ~quick ~pool ?cache ())
-    in
-    Printf.printf "\n== Experiment sweep wall-clock ==\n%s\n"
-      (Format.asprintf "%a" Engine.pp_stats stats);
-    if jobs > 1 then begin
-      (* Fresh, uncached sweeps in both modes: the honest speedup of the
-         work-stealing pool on this machine, unpolluted by cache hits. *)
-      let timed ~jobs =
+let main full tables_only bench_only no_cache cache_dir jobs trace_out metrics_json
+    trace_overhead_mode alloc serve serve_opts =
+  if trace_overhead_mode then begin
+    trace_overhead ~jobs ~alloc;
+    0
+  end
+  else if serve then serve_bench serve_opts ~jobs
+  else begin
+    let quick = not full in
+    (match trace_out with
+    | Some path -> Tel.install ~wall:true (Tel.Jsonl path)
+    | None -> if metrics_json <> None then Tel.install Tel.Counters_only);
+    if not bench_only then begin
+      Printf.printf "Experiment tables (E1-E13; see DESIGN.md and EXPERIMENTS.md)%s\n"
+        (if full then " [full sweeps]" else " [quick sweeps; pass --full for paper-sized]");
+      let cache = if no_cache then None else Some (Cache.create ~dir:cache_dir ()) in
+      let stats =
         Pool.with_pool ~jobs (fun pool ->
-            Bap_experiments.Runner.run_all ~quick ~pool ~render:false ())
+            Bap_experiments.Runner.run_all ~quick ~pool ?cache ())
       in
-      let par = timed ~jobs in
-      let ser = timed ~jobs:1 in
-      Printf.printf "serial   (--jobs 1): %.2fs\nparallel (--jobs %d): %.2fs\nspeedup: %.2fx\n"
-        ser.Engine.wall jobs par.Engine.wall
-        (ser.Engine.wall /. Float.max 1e-9 par.Engine.wall)
-    end
-  end;
-  if not tables_only then run_benches ();
-  (match metrics_json with
-  | Some path -> write_file path (Tel.Metrics.to_json (Tel.Metrics.snapshot ()))
-  | None -> ());
-  Tel.shutdown ()
+      Printf.printf "\n== Experiment sweep wall-clock ==\n%s\n"
+        (Format.asprintf "%a" Engine.pp_stats stats);
+      if jobs > 1 then begin
+        (* Fresh, uncached sweeps in both modes: the honest speedup of the
+           work-stealing pool on this machine, unpolluted by cache hits. *)
+        let timed ~jobs =
+          Pool.with_pool ~jobs (fun pool ->
+              Bap_experiments.Runner.run_all ~quick ~pool ~render:false ())
+        in
+        let par = timed ~jobs in
+        let ser = timed ~jobs:1 in
+        Printf.printf "serial   (--jobs 1): %.2fs\nparallel (--jobs %d): %.2fs\nspeedup: %.2fx\n"
+          ser.Engine.wall jobs par.Engine.wall
+          (ser.Engine.wall /. Float.max 1e-9 par.Engine.wall)
+      end
+    end;
+    if not tables_only then run_benches ();
+    (match metrics_json with
+    | Some path -> write_file path (Tel.Metrics.to_json (Tel.Metrics.snapshot ()))
+    | None -> ());
+    Tel.shutdown ();
+    0
+  end
+
+let cmd =
+  let flag names doc = Arg.(value & flag & info names ~doc) in
+  (* Counts keep the historical clamps: at least 1 (or 0 where 0 means
+     "off"), but a value that is not an integer is a usage error. *)
+  let count ?(min = 1) names ~default ~docv doc =
+    Term.(
+      const (max min)
+      $ Arg.(value & opt int default & info names ~docv ~doc))
+  in
+  let path names doc =
+    Arg.(value & opt (some string) None & info names ~docv:"FILE" ~doc)
+  in
+  let family =
+    Arg.enum
+      Bap_servelib.Instance.
+        [ ("unauth", Unauth); ("auth", Auth); ("es", Es); ("pk", Pk) ]
+  in
+  let serve_opts =
+    let make instances n socket reconnect retransmit client_seed exactly_once
+        families chaos_seed =
+      {
+        instances;
+        n;
+        socket;
+        reconnect;
+        retransmit;
+        client_seed;
+        exactly_once;
+        families;
+        chaos_seed;
+      }
+    in
+    Term.(
+      const make
+      $ count [ "instances" ] ~default:2000 ~docv:"N" "Instances to generate (--serve)."
+      $ count [ "n" ] ~default:4 ~docv:"N" "Processes per instance (--serve)."
+      $ Arg.(
+          value
+          & opt (some string) None
+          & info [ "serve-socket" ] ~docv:"PATH"
+              ~doc:"Drive an external bap_serve daemon on this socket instead of an in-process server.")
+      $ count ~min:0 [ "reconnect" ] ~default:0 ~docv:"N"
+          "Socket mode: retry a dead server N times with deterministic seeded backoff."
+      $ count ~min:0 [ "retransmit" ] ~default:0 ~docv:"N"
+          "Socket mode: re-send unanswered ids on fresh connections up to N times."
+      $ count ~min:0 [ "client-seed" ] ~default:0 ~docv:"SEED"
+          "Seed of the client's reconnect backoff."
+      $ flag [ "exactly-once" ]
+          "Tighten the oracle into the crash-restart property: no loss, no duplicates."
+      $ Arg.(
+          value
+          & opt (list family) Bap_servelib.Instance.[ Unauth; Es; Pk ]
+          & info [ "families" ] ~docv:"LIST"
+              ~doc:"Comma-separated protocol families (unauth, auth, es, pk).")
+      $ Arg.(
+          value
+          & opt (some int) None
+          & info [ "harness-chaos" ] ~docv:"SEED"
+              ~doc:
+                "Turn the serve run hostile from a seeded schedule: corrupted payload \
+                 bytes, mid-frame disconnects (socket mode), crash/hang injection."))
+  in
+  Cmd.v
+    (Cmd.info "main" ~doc:"Experiment tables, Bechamel micro-benchmarks, and CI benchmark gates")
+    Term.(
+      const main
+      $ flag [ "full" ] "Paper-sized sweeps (slower)."
+      $ flag [ "tables-only" ] "Skip the Bechamel micro-benchmarks."
+      $ flag [ "bench-only" ] "Skip the experiment tables."
+      $ flag [ "no-cache" ] "Recompute every cell, bypassing the result cache."
+      $ Arg.(
+          value
+          & opt string Cache.default_dir
+          & info [ "cache-dir" ] ~docv:"DIR" ~doc:"Result cache directory.")
+      $ count [ "jobs" ] ~default:1 ~docv:"N"
+          "Worker domains for the cell sweep (or the in-process server with --serve)."
+      $ path [ "trace-out" ] "Write a JSONL telemetry trace of the run."
+      $ path [ "metrics-json" ] "Write the merged metrics registry as JSON."
+      $ flag [ "trace-overhead" ]
+          "CI gate: fail if tracing a fresh quick sweep costs more than 5% wall-clock."
+      $ flag [ "alloc" ] "With --trace-overhead, also run the allocation probe."
+      $ flag [ "serve" ] "Serve load generator plus byte-identity oracle (exit 1 on failure)."
+      $ serve_opts)
+
+let () = exit (Cmd.eval' cmd)

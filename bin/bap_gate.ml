@@ -185,9 +185,9 @@ let measure_alloc () =
       unauth_cell ~n:31 ~f:10 ~m:0;
     ]
   in
-  let mw0 = Memprobe.domain_minor_words () in
+  let words0 = Memprobe.domain_minor_words () in
   let rounds = List.fold_left (fun acc cell -> acc + (cell ()).rounds) 0 cells in
-  let words = Memprobe.domain_minor_words () -. mw0 in
+  let words = Memprobe.domain_minor_words () -. words0 in
   if rounds <= 0 then begin
     Printf.printf "FAILED: alloc probe simulated 0 rounds\n";
     exit 1

@@ -1,6 +1,6 @@
 (* CLI: the project-invariant static-analysis gate.
 
-   Walks every .ml under lib/, bin/, test/ and enforces the rule
+   Walks every .ml under lib/, bin/, test/, bench/ and enforces the rule
    catalog of lib/lint (determinism, cell purity, domain safety,
    layering; see DESIGN.md "Static analysis"). A committed
    lint-baseline.json grandfathers pre-existing findings, so the gate
@@ -65,7 +65,7 @@ let cmd =
   let root =
     Arg.(
       value & opt string "."
-      & info [ "root" ] ~docv:"DIR" ~doc:"Repository root to scan (lib/, bin/, test/).")
+      & info [ "root" ] ~docv:"DIR" ~doc:"Repository root to scan (lib/, bin/, test/, bench/).")
   in
   let baseline =
     Arg.(

@@ -176,27 +176,13 @@ let run full only jobs no_cache cache_dir retries timeout journal_path no_journa
   (match (stats_json, !final_stats) with
   | Some path, Some s -> write_file path (Engine.stats_json s)
   | _ -> ());
-  (* The alloc trace is self-contained: merged Memprof samples flush as
-     sorted instants, and an alloc.process instant records the
-     process-wide total so `bap_trace alloc` can report what share of
-     all allocation its spans explain. Emitted after the pool quiesces,
-     so every domain's counters are published. *)
+  (* The alloc trace is self-contained (Memprof samples and the
+     process-wide total ride along as instants), so `bap_trace alloc`
+     can report what share of all allocation its spans explain. Flushed
+     after the pool quiesces, so every domain's counters are published. *)
   if alloc_out <> None then begin
     Memprobe.stop_sampling ();
-    Memprobe.flush_samples_to_trace ();
-    let d = Memprobe.process_delta () in
-    Tel.instant ~cat:"alloc" ~name:"alloc.process"
-      ~attrs:(fun () ->
-        [
-          ("minor_words", Tel.Int (int_of_float d.Memprobe.minor_words));
-          ("promoted_words", Tel.Int (int_of_float d.Memprobe.promoted_words));
-          ("major_words", Tel.Int (int_of_float d.Memprobe.major_words));
-          ("minor_collections", Tel.Int d.Memprobe.minor_collections);
-          ("major_collections", Tel.Int d.Memprobe.major_collections);
-          ("compactions", Tel.Int d.Memprobe.compactions);
-          ("heap_words", Tel.Int d.Memprobe.heap_words);
-        ])
-      ();
+    Memprobe.flush_to_trace ();
     Memprobe.disable ()
   end;
   Tel.shutdown ();

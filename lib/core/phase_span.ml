@@ -8,38 +8,21 @@
    round r + 1, so its round extent is [begin.round + 1, end.round] —
    the convention bap_trace's summary uses for attribution.
 
-   With the memprobe on, each phase is also an allocation frame: its
-   domain-local minor-words delta rides the End event (appended after
-   the logical attrs, so probe-off traces keep the exact pre-probe
-   bytes) and its GC deltas fold into the metrics registry under the
-   phase name via [Memprobe.phase_if]. One caveat, documented rather
-   than fought: all n fibers of a run interleave on one domain, so the
-   delta counts the whole run's allocation during the phase's extent —
-   the allocation twin of the round-ownership convention above, exact
-   at round granularity because the protocols are lock-step. *)
+   Allocation rides the span itself (see [Telemetry.span]). One caveat,
+   documented rather than fought: all n fibers of a run interleave on
+   one domain, so a phase's minor-words delta counts the whole run's
+   allocation during its extent — the allocation twin of the
+   round-ownership convention above, exact at round granularity because
+   the protocols are lock-step. *)
 
 module Tel = Bap_telemetry.Telemetry
-module Memprobe = Bap_telemetry.Memprobe
 
 module Make (R : Bap_sim.Runtime.S) = struct
-  let run ctx name f =
-    let witness = R.id ctx = 0 in
-    let measured = witness && Memprobe.enabled () in
-    let mw0 = ref 0. in
-    Memprobe.phase_if measured name @@ fun () ->
-    Tel.span_if witness ~cat:"core" ~name
-      ~attrs:(fun () ->
-        if measured then mw0 := Memprobe.domain_minor_words ();
-        [ ("round", Tel.Int (R.round ctx)) ])
-      ~end_attrs:(fun () ->
-        let base = [ ("round", Tel.Int (R.round ctx)) ] in
-        if measured then
-          base
-          @ [
-              ( "minor_words",
-                Tel.Int (int_of_float (Memprobe.domain_minor_words () -. !mw0))
-              );
-            ]
-        else base)
-      f
+  let run ?(attrs = fun () -> []) ctx name f =
+    if R.id ctx <> 0 then f ()
+    else
+      Tel.span ~cat:"core" ~name
+        ~attrs:(fun () -> ("round", Tel.Int (R.round ctx)) :: attrs ())
+        ~end_attrs:(fun () -> [ ("round", Tel.Int (R.round ctx)) ])
+        f
 end

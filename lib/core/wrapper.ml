@@ -23,6 +23,7 @@ module Make
 struct
   module Classify_p = Classify.Make (W) (R)
   module Es = Early_stopping.Make (V) (W) (R)
+  module Ps = Phase_span.Make (R)
   module Tel = Bap_telemetry.Telemetry
 
   type config = {
@@ -109,13 +110,7 @@ struct
      decision through a grade-1 graded consensus, whose coherence makes
      every honest process carry the same value into phase 1. *)
   let run ?value_prediction cfg ctx ~t x advice =
-    (* One span per lock-step schedule, not one per process: process 0's
-       fiber stands for the run (see Phase_span). *)
-    let emit = R.id ctx = 0 in
-    Tel.span_if emit ~cat:"core" ~name:"wrapper"
-      ~attrs:(fun () -> [ ("round", Tel.Int (R.round ctx)); ("t", Tel.Int t) ])
-      ~end_attrs:(fun () -> [ ("round", Tel.Int (R.round ctx)) ])
-    @@ fun () ->
+    Ps.run ctx "wrapper" ~attrs:(fun () -> [ ("t", Tel.Int t) ]) @@ fun () ->
     let c = cfg.classify ctx advice in
     let v = ref x in
     let decision = ref None in
@@ -130,10 +125,7 @@ struct
     (match value_prediction with
     | None -> ()
     | Some predicted ->
-      Tel.span_if emit ~cat:"core" ~name:"value-pred"
-        ~attrs:(fun () -> [ ("round", Tel.Int (R.round ctx)) ])
-        ~end_attrs:(fun () -> [ ("round", Tel.Int (R.round ctx)) ])
-        (fun () ->
+      Ps.run ctx "value-pred" (fun () ->
           let v1, g1 = cfg.gc ctx ~tag:(fresh 1) !v in
           v := if g1 = 0 then predicted else v1;
           let v2, g2 = cfg.gc ctx ~tag:(fresh 1) !v in
@@ -144,14 +136,8 @@ struct
           end));
     (try
        for phi = 1 to phases_total ~t do
-         Tel.span_if emit ~cat:"core" ~name:"phase"
-           ~attrs:(fun () ->
-             [
-               ("round", Tel.Int (R.round ctx));
-               ("phi", Tel.Int phi);
-               ("k", Tel.Int (k_of_phase phi));
-             ])
-           ~end_attrs:(fun () -> [ ("round", Tel.Int (R.round ctx)) ])
+         Ps.run ctx "phase"
+           ~attrs:(fun () -> [ ("phi", Tel.Int phi); ("k", Tel.Int (k_of_phase phi)) ])
          @@ fun () ->
          let k = k_of_phase phi in
          let v1, g1 = cfg.gc ctx ~tag:(fresh 1) !v in

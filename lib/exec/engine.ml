@@ -1,5 +1,4 @@
 module Tel = Bap_telemetry.Telemetry
-module Memprobe = Bap_telemetry.Memprobe
 
 type stats = {
   total_cells : int;
@@ -37,38 +36,20 @@ let run ?pool ?(cache : Cache.t option) ?(journal : Journal.t option)
      no jobs, no wall time — those live in the metrics snapshot, so the
      logical trace stays identical across --jobs settings. *)
   let out = ref None in
-  let sweep_mw0 = ref 0. in
   Tel.span ~cat:"exec" ~name:"sweep"
-    ~attrs:(fun () ->
-      if Memprobe.enabled () then sweep_mw0 := Memprobe.domain_minor_words ();
-      [ ("plans", Tel.Int (List.length plans)) ])
+    ~attrs:(fun () -> [ ("plans", Tel.Int (List.length plans)) ])
     ~end_attrs:(fun () ->
-      let base =
-        match !out with
-        | None -> []
-        | Some s ->
-          [
-            ("cells", Tel.Int s.total_cells);
-            ("executed", Tel.Int s.executed);
-            ("cache_hits", Tel.Int s.cache_hits);
-            ("journal_hits", Tel.Int s.journal_hits);
-            ("retried", Tel.Int s.retried);
-            ("quarantined", Tel.Int (List.length s.quarantined));
-          ]
-      in
-      (* The submitting domain's own words: at --jobs 1 this includes
-         the (inline) cells, which the alloc report subtracts back out;
-         at --jobs > 1 the cells allocate on worker domains and this is
-         pure harness overhead (journal, cache, render). *)
-      if Memprobe.enabled () then
-        base
-        @ [
-            ( "minor_words",
-              Tel.Int
-                (int_of_float (Memprobe.domain_minor_words () -. !sweep_mw0))
-            );
-          ]
-      else base)
+      match !out with
+      | None -> []
+      | Some s ->
+        [
+          ("cells", Tel.Int s.total_cells);
+          ("executed", Tel.Int s.executed);
+          ("cache_hits", Tel.Int s.cache_hits);
+          ("journal_hits", Tel.Int s.journal_hits);
+          ("retried", Tel.Int s.retried);
+          ("quarantined", Tel.Int (List.length s.quarantined));
+        ])
   @@ fun () ->
   let slots =
     List.concat
@@ -162,42 +143,15 @@ let run ?pool ?(cache : Cache.t option) ?(journal : Journal.t option)
   (* Each executing cell gets its own telemetry track named by its cell
      id: per-track event order is then the cell's own program order,
      independent of which domain ran it or in what interleaving. *)
-  (* With the memprobe on, the cell span's End event carries the cell's
-     domain-local minor-words delta (a pool task is a whole cell on one
-     domain, so the number is deterministic at any --jobs), the cell is
-     a memprobe frame ("cell": the runs inside self-subtract from it in
-     the metrics registry), and the per-cell words land in the
-     [exec.cell_minor_words] histogram. Probe off: exact pre-probe
-     bytes, nothing measured. *)
   let in_cell_span s body () =
     Tel.with_track s.cid @@ fun () ->
-    let measured = Memprobe.enabled () in
-    let mw0 = if measured then Memprobe.domain_minor_words () else 0. in
-    let finish () =
-      if measured then
-        Tel.Metrics.observe "exec.cell_minor_words"
-          (int_of_float (Memprobe.domain_minor_words () -. mw0))
-    in
-    Fun.protect ~finally:finish @@ fun () ->
-    Memprobe.phase_if measured "cell" @@ fun () ->
     Tel.span ~cat:"exec" ~name:"cell"
       ~attrs:(fun () -> [ ("id", Tel.Str s.cid) ])
       ~end_attrs:(fun () ->
-        let base =
-          [
-            ( "outcome",
-              Tel.Str (if s.quarantined then "quarantined" else "executed") );
-            ("failed_attempts", Tel.Int (List.length s.ledger));
-          ]
-        in
-        if measured then
-          base
-          @ [
-              ( "minor_words",
-                Tel.Int (int_of_float (Memprobe.domain_minor_words () -. mw0))
-              );
-            ]
-        else base)
+        [
+          ("outcome", Tel.Str (if s.quarantined then "quarantined" else "executed"));
+          ("failed_attempts", Tel.Int (List.length s.ledger));
+        ])
       body
   in
   let tasks =

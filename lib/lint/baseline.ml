@@ -8,6 +8,8 @@
    longer occur) are reported so the file shrinks over time instead of
    fossilizing. *)
 
+module Json = Bap_telemetry.Json
+
 type entry = { rule_id : string; file : string; line : int }
 
 let entry_of_finding (f : Finding.t) =

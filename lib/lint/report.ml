@@ -3,6 +3,8 @@
    are emitted in {!Finding.compare_finding} order, so output is a pure
    function of the findings. *)
 
+module Json = Bap_telemetry.Json
+
 let pp_human ppf (d : Baseline.diff) =
   List.iter (fun f -> Fmt.pf ppf "%a@." Finding.pp f) d.Baseline.fresh;
   List.iter

@@ -49,7 +49,6 @@ end
 
 module Make (M : MSG) : S with type msg = M.t = struct
   module Tel = Bap_telemetry.Telemetry
-  module Memprobe = Bap_telemetry.Memprobe
 
   type msg = M.t
   type ctx = { ctx_id : int; ctx_n : int; mutable ctx_round : int }
@@ -190,38 +189,17 @@ module Make (M : MSG) : S with type msg = M.t = struct
     in
     (* The sim.run span covers the spawn too: the first segment of every
        protocol (up to its first exchange) runs inside [spawn], and any
-       phase spans it opens must land inside this one.
-
-       Allocation attribution rides the same span when the memprobe is
-       on: [run_mw0] is stamped by the Begin-attr thunk (entry) and the
-       domain-local delta lands as the last End attr, so memprobe-off
-       traces keep the exact pre-probe bytes. The whole run is also a
-       memprobe phase, which makes the protocols' nested [Phase_span]
-       frames self-subtract from it in the metrics registry. *)
-    let run_mw0 = ref 0. in
+       phase spans it opens must land inside this one. *)
     Tel.span ~cat:"sim" ~name:"sim.run"
-      ~attrs:(fun () ->
-        if Memprobe.enabled () then run_mw0 := Memprobe.domain_minor_words ();
-        [ ("n", Tel.Int n); ("f", Tel.Int (Array.length faulty)) ])
+      ~attrs:(fun () -> [ ("n", Tel.Int n); ("f", Tel.Int (Array.length faulty)) ])
       ~end_attrs:(fun () ->
-        let base =
-          [
-            ("rounds", Tel.Int !round);
-            ("msgs", Tel.Int !honest_sent);
-            ("bits", Tel.Int !honest_bits);
-            ("adversary_msgs", Tel.Int !adversary_sent);
-          ]
-        in
-        if Memprobe.enabled () then
-          base
-          @ [
-              ( "minor_words",
-                Tel.Int
-                  (int_of_float (Memprobe.domain_minor_words () -. !run_mw0)) );
-            ]
-        else base)
+        [
+          ("rounds", Tel.Int !round);
+          ("msgs", Tel.Int !honest_sent);
+          ("bits", Tel.Int !honest_bits);
+          ("adversary_msgs", Tel.Int !adversary_sent);
+        ])
       (fun () ->
-    Memprobe.phase "sim.run" @@ fun () ->
     let status = Array.init n (fun i -> spawn (fun () -> body ctxs.(i))) in
     Array.iteri
       (fun i st -> match st with Finished r -> note_finish i r 0 | Yielded _ -> ())
@@ -236,7 +214,6 @@ module Make (M : MSG) : S with type msg = M.t = struct
     in
     let this_round = ref 0 in
     let bits0 = ref 0 in
-    let mw0 = ref 0. in
     (* -- concrete (per-pair) engine: the reference semantics -- *)
     let arena = if counted_ok then None else Some (Arena.create n) in
     let concrete_round (arena : msg Arena.t) =
@@ -597,25 +574,12 @@ module Make (M : MSG) : S with type msg = M.t = struct
       record (Trace.Round_begin !round);
       this_round := 0;
       bits0 := !honest_bits;
-      Tel.span ~cat:"sim" ~name:"round"
-        ~attrs:(fun () ->
-          if Memprobe.enabled () then mw0 := Memprobe.domain_minor_words ();
-          [ ("round", Tel.Int !round) ])
+      (* Not a folding frame: process 0's protocol spans open inside
+         one round and close in a later one. *)
+      Tel.span ~cat:"sim" ~name:"round" ~fold:false
+        ~attrs:(fun () -> [ ("round", Tel.Int !round) ])
         ~end_attrs:(fun () ->
-          let base =
-            [
-              ("msgs", Tel.Int !this_round);
-              ("bits", Tel.Int (!honest_bits - !bits0));
-            ]
-          in
-          if Memprobe.enabled () then
-            base
-            @ [
-                ( "minor_words",
-                  Tel.Int
-                    (int_of_float (Memprobe.domain_minor_words () -. !mw0)) );
-              ]
-          else base)
+          [ ("msgs", Tel.Int !this_round); ("bits", Tel.Int (!honest_bits - !bits0)) ])
         (fun () ->
           Array.iter (fun c -> c.ctx_round <- !round) ctxs;
           match arena with

@@ -9,7 +9,10 @@
    attribute [r0] and end attribute [r1] owns rounds [r0 + 1 .. r1];
    each round is attributed to the smallest enclosing extent (innermost
    sub-protocol wins), which mirrors how Stack.messages_by_component
-   attributes costs from Wrapper.schedule. *)
+   attributes costs from Wrapper.schedule.
+
+   One attribution pass feeds all three logical reports: [summary] and
+   [diff] render its rounds/messages/bits, [alloc_report] its words. *)
 
 module Tel = Telemetry
 
@@ -82,11 +85,28 @@ let strip_wall text =
          | None -> line)
   |> String.concat "\n"
 
-(* ---------- summary ---------- *)
+(* ---------- attribution ---------- *)
 
-type rollup = { spans : int; rounds : int; msgs : int; bits : int }
+(* Per track, a state machine replays the span structure. Each sim.run
+   collects its rounds (msgs, bits, and minor words when the probe was
+   on) and the round extents of its core spans; at its End every round
+   goes to the innermost covering core span, or to "other".
 
-type summary_data = {
+   Allocation outside the rounds stays with the enclosing scope: what a
+   run allocated outside its rounds (the spawn segment, inter-round
+   bookkeeping) with "sim.run"; what a cell allocated outside its runs
+   (advice construction, row assembly) with "cell"; and the sweep
+   span's remainder with "harness". The sweep's words are its
+   submitting domain's: at --jobs 1 they include the inline cells,
+   which are subtracted back out; at --jobs > 1 the cells allocate on
+   worker domains and the remainder is pure harness overhead (journal,
+   cache, render). Every measured word lands in exactly one row, so the
+   rows sum to the measured total and the named-span coverage is
+   1 - other/total. *)
+
+type rollup = { spans : int; rounds : int; msgs : int; bits : int; words : int }
+
+type attribution = {
   events : int;
   tracks : int;
   runs : int;
@@ -95,6 +115,10 @@ type summary_data = {
   total_bits : int;
   adversary_msgs : int;
   phases : (string * rollup) list;
+  scopes : (string * rollup) list;
+  total_words : int;
+  process_words : int option;
+  samples : (string * string * int) list;
 }
 
 let attr_int name attrs =
@@ -122,7 +146,7 @@ let by_track evs =
 
 type interval = { iname : string; lo : int; hi : int; depth : int; order : int }
 
-let zero = { spans = 0; rounds = 0; msgs = 0; bits = 0 }
+let zero = { spans = 0; rounds = 0; msgs = 0; bits = 0; words = 0 }
 
 let add_rollup a b =
   {
@@ -130,6 +154,7 @@ let add_rollup a b =
     rounds = a.rounds + b.rounds;
     msgs = a.msgs + b.msgs;
     bits = a.bits + b.bits;
+    words = a.words + b.words;
   }
 
 let group_rollups l =
@@ -143,26 +168,35 @@ let group_rollups l =
   in
   go [] sorted
 
-let summarize evs =
+let attribute evs =
   let runs = ref 0 in
   let total_rounds = ref 0 in
   let total_msgs = ref 0 in
   let total_bits = ref 0 in
   let adversary_msgs = ref 0 in
-  let contribs = ref [] in
+  let phases = ref [] in
+  let scopes = ref [] in
+  let cells_words = ref 0 in
+  let top_runs_words = ref 0 in
+  let sweep_words = ref 0 in
+  let process_words = ref None in
+  let samples = ref [] in
   let tracks = by_track evs in
   List.iter
     (fun track_evs ->
-      (* Per-run accumulators, reset at each sim.run boundary. *)
+      (* Per-run accumulators, reset at each sim.run boundary... *)
       let round_rows = ref [] in
       let intervals = ref [] in
       let stack = ref [] in
       let cur_round = ref 0 in
       let order = ref 0 in
+      (* ... and the per-track cell scope. *)
+      let in_cell = ref false in
+      let cell_runs_words = ref 0 in
       let close_interval (iname, lo0, depth, ord) hi =
         intervals := { iname; lo = lo0 + 1; hi; depth; order = ord } :: !intervals
       in
-      let finish_run () =
+      let finish_run run_words =
         incr runs;
         (* Spans that never closed (crashed cell) extend to the last
            observed round. *)
@@ -186,21 +220,28 @@ let summarize evs =
               else best)
             None !intervals
         in
+        let rounds_words = ref 0 in
         List.iter
-          (fun (r, m, b) ->
+          (fun (r, msgs, bits, words) ->
+            rounds_words := !rounds_words + words;
             let name = match best r with Some iv -> iv.iname | None -> "other" in
-            contribs :=
-              (name, { zero with rounds = 1; msgs = m; bits = b }) :: !contribs)
+            phases := (name, { zero with rounds = 1; msgs; bits; words }) :: !phases)
           !round_rows;
         List.iter
-          (fun iv -> contribs := (iv.iname, { zero with spans = 1 }) :: !contribs)
+          (fun iv -> phases := (iv.iname, { zero with spans = 1 }) :: !phases)
           !intervals;
+        scopes :=
+          ("sim.run", { zero with spans = 1; words = run_words - !rounds_words })
+          :: !scopes;
+        if !in_cell then cell_runs_words := !cell_runs_words + run_words
+        else top_runs_words := !top_runs_words + run_words;
         round_rows := [];
         intervals := [];
         cur_round := 0
       in
       List.iter
         (fun e ->
+          let a k = Option.value ~default:0 (attr_int k e.Tel.attrs) in
           match (e.Tel.cat, e.Tel.name, e.Tel.ph) with
           | "sim", "sim.run", Tel.Begin ->
             round_rows := [];
@@ -208,17 +249,16 @@ let summarize evs =
             stack := [];
             cur_round := 0
           | "sim", "sim.run", Tel.End ->
-            let a k = Option.value ~default:0 (attr_int k e.Tel.attrs) in
             total_rounds := !total_rounds + a "rounds";
             total_msgs := !total_msgs + a "msgs";
             total_bits := !total_bits + a "bits";
             adversary_msgs := !adversary_msgs + a "adversary_msgs";
-            finish_run ()
+            finish_run (a "minor_words")
           | "sim", "round", Tel.Begin ->
             Option.iter (fun r -> cur_round := r) (attr_int "round" e.Tel.attrs)
           | "sim", "round", Tel.End ->
-            let a k = Option.value ~default:0 (attr_int k e.Tel.attrs) in
-            round_rows := (!cur_round, a "msgs", a "bits") :: !round_rows
+            round_rows :=
+              (!cur_round, a "msgs", a "bits", a "minor_words") :: !round_rows
           | "core", name, Tel.Begin ->
             let r0 =
               Option.value ~default:!cur_round (attr_int "round" e.Tel.attrs)
@@ -237,9 +277,38 @@ let summarize evs =
               stack := rest;
               close_interval sp hi
             | [] -> ())
+          | "exec", "cell", Tel.Begin ->
+            in_cell := true;
+            cell_runs_words := 0
+          | "exec", "cell", Tel.End ->
+            in_cell := false;
+            let w = a "minor_words" in
+            cells_words := !cells_words + w;
+            scopes :=
+              ("cell", { zero with spans = 1; words = w - !cell_runs_words })
+              :: !scopes
+          | "exec", "sweep", Tel.End -> sweep_words := !sweep_words + a "minor_words"
+          | "alloc", "alloc.process", _ ->
+            Option.iter
+              (fun w -> process_words := Some w)
+              (attr_int "minor_words" e.Tel.attrs)
+          | "alloc", "alloc.sample", _ -> (
+            let str k =
+              match List.assoc_opt k e.Tel.attrs with
+              | Some (Tel.Str s) -> Some s
+              | _ -> None
+            in
+            match (str "site", str "phase", attr_int "samples" e.Tel.attrs) with
+            | Some site, Some phase, Some n ->
+              samples := (site, phase, n) :: !samples
+            | _ -> ())
           | _ -> ())
         track_evs)
     tracks;
+  (* Clamped: never negative. *)
+  let harness = max 0 (!sweep_words - !cells_words - !top_runs_words) in
+  if harness > 0 then
+    scopes := ("harness", { zero with spans = 1; words = harness }) :: !scopes;
   {
     events = List.length evs;
     tracks = List.length tracks;
@@ -248,11 +317,20 @@ let summarize evs =
     total_msgs = !total_msgs;
     total_bits = !total_bits;
     adversary_msgs = !adversary_msgs;
-    phases = group_rollups !contribs;
+    phases = group_rollups !phases;
+    scopes = group_rollups !scopes;
+    total_words = !cells_words + !top_runs_words + harness;
+    process_words = !process_words;
+    samples =
+      List.stable_sort
+        (fun (_, _, a) (_, _, b) -> Int.compare b a)
+        (List.sort compare !samples);
   }
 
+(* ---------- summary ---------- *)
+
 let summary evs =
-  let s = summarize evs in
+  let s = attribute evs in
   let head =
     Printf.sprintf
       "trace summary: %d events, %d tracks, %d runs\nrounds %d   messages %d   bits %d   adversary-messages %d\n"
@@ -279,7 +357,7 @@ let summary evs =
 (* ---------- diff ---------- *)
 
 let diff evs_a evs_b =
-  let a = summarize evs_a and b = summarize evs_b in
+  let a = attribute evs_a and b = attribute evs_b in
   let row name va vb =
     [ name; string_of_int va; string_of_int vb; Printf.sprintf "%+d" (vb - va) ]
   in
@@ -344,242 +422,38 @@ let cell_timings evs =
 
 (* ---------- allocation report ---------- *)
 
-(* Reconstructs per-phase allocation from the [minor_words] attributes
-   the memprobe adds to round / sim.run / cell / sweep End events.
-
-   Attribution mirrors [summarize]: each round's words go to the
-   innermost core span whose round extent contains it (or "other");
-   what a run allocated outside its rounds (the spawn segment,
-   inter-round bookkeeping) stays with "sim.run"; what a cell allocated
-   outside its runs (advice construction, row assembly) stays with
-   "cell"; and the sweep span's remainder — minus the cells, which run
-   on the same domain only under an inline pool — is "harness". Every
-   measured word lands in exactly one row, so the rows sum to the
-   measured total and the named-span coverage is 1 - other/total. *)
-
-type alloc_rollup = { a_spans : int; a_rounds : int; a_words : int }
-
-type alloc_data = {
-  a_events : int;
-  a_tracks : int;
-  a_runs : int;
-  a_rounds : int;
-  a_total_words : int;
-  a_other_words : int;
-  a_process_words : int option;
-  a_rows : (string * alloc_rollup) list;  (** sorted by words, descending *)
-  a_samples : (string * string * int) list;
-      (** (site, phase, samples), descending by samples *)
-}
-
-let azero = { a_spans = 0; a_rounds = 0; a_words = 0 }
-
-let add_arollup a b =
-  {
-    a_spans = a.a_spans + b.a_spans;
-    a_rounds = a.a_rounds + b.a_rounds;
-    a_words = a.a_words + b.a_words;
-  }
-
-let group_arollups l =
-  let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | (k, v) :: rest -> (
-      match acc with
-      | (k', v') :: tl when String.equal k' k ->
-        go ((k', add_arollup v' v) :: tl) rest
-      | _ -> go ((k, v) :: acc) rest)
-  in
-  go [] sorted
-
-let alloc_summarize evs =
-  let contribs = ref [] in
-  let runs = ref 0 in
-  let rounds = ref 0 in
-  let cells_words = ref 0 in
-  let top_runs_words = ref 0 in
-  let sweep_words = ref 0 in
-  let process_words = ref None in
-  let samples = ref [] in
-  let tracks = by_track evs in
-  List.iter
-    (fun track_evs ->
-      (* Per-run accumulators (the summarize state machine, with words
-         in place of msgs/bits)... *)
-      let round_rows = ref [] in
-      let intervals = ref [] in
-      let stack = ref [] in
-      let cur_round = ref 0 in
-      let order = ref 0 in
-      (* ... and per-track cell scope. *)
-      let in_cell = ref false in
-      let cell_runs_words = ref 0 in
-      let close_interval (iname, lo0, depth, ord) hi =
-        intervals := { iname; lo = lo0 + 1; hi; depth; order = ord } :: !intervals
-      in
-      let finish_run run_words =
-        incr runs;
-        List.iter (fun sp -> close_interval sp !cur_round) !stack;
-        stack := [];
-        let best r =
-          List.fold_left
-            (fun best iv ->
-              if iv.lo <= r && r <= iv.hi then
-                match best with
-                | None -> Some iv
-                | Some b ->
-                  let w iv = iv.hi - iv.lo in
-                  if
-                    w iv < w b
-                    || (w iv = w b
-                       && (iv.depth > b.depth
-                          || (iv.depth = b.depth && iv.order > b.order)))
-                  then Some iv
-                  else Some b
-              else best)
-            None !intervals
-        in
-        let rounds_words = ref 0 in
-        List.iter
-          (fun (r, w) ->
-            incr rounds;
-            rounds_words := !rounds_words + w;
-            let name = match best r with Some iv -> iv.iname | None -> "other" in
-            contribs := (name, { azero with a_rounds = 1; a_words = w }) :: !contribs)
-          !round_rows;
-        List.iter
-          (fun iv -> contribs := (iv.iname, { azero with a_spans = 1 }) :: !contribs)
-          !intervals;
-        contribs :=
-          ( "sim.run",
-            { azero with a_spans = 1; a_words = run_words - !rounds_words } )
-          :: !contribs;
-        if !in_cell then cell_runs_words := !cell_runs_words + run_words
-        else top_runs_words := !top_runs_words + run_words;
-        round_rows := [];
-        intervals := [];
-        cur_round := 0
-      in
-      List.iter
-        (fun e ->
-          let mw () = attr_int "minor_words" e.Tel.attrs in
-          match (e.Tel.cat, e.Tel.name, e.Tel.ph) with
-          | "sim", "sim.run", Tel.Begin ->
-            round_rows := [];
-            intervals := [];
-            stack := [];
-            cur_round := 0
-          | "sim", "sim.run", Tel.End ->
-            Option.iter (fun w -> finish_run w) (mw ())
-          | "sim", "round", Tel.Begin ->
-            Option.iter (fun r -> cur_round := r) (attr_int "round" e.Tel.attrs)
-          | "sim", "round", Tel.End ->
-            Option.iter
-              (fun w -> round_rows := (!cur_round, w) :: !round_rows)
-              (mw ())
-          | "core", name, Tel.Begin ->
-            let r0 =
-              Option.value ~default:!cur_round (attr_int "round" e.Tel.attrs)
-            in
-            stack := (name, r0, List.length !stack, !order) :: !stack;
-            incr order
-          | "core", name, Tel.End -> (
-            let hi =
-              Option.value ~default:!cur_round (attr_int "round" e.Tel.attrs)
-            in
-            match !stack with
-            | (n, _, _, _) :: _ when not (String.equal n name) -> ()
-            | sp :: rest ->
-              stack := rest;
-              close_interval sp hi
-            | [] -> ())
-          | "exec", "cell", Tel.Begin ->
-            in_cell := true;
-            cell_runs_words := 0
-          | "exec", "cell", Tel.End ->
-            in_cell := false;
-            Option.iter
-              (fun w ->
-                cells_words := !cells_words + w;
-                contribs :=
-                  ( "cell",
-                    { azero with a_spans = 1; a_words = w - !cell_runs_words } )
-                  :: !contribs)
-              (mw ())
-          | "exec", "sweep", Tel.End ->
-            Option.iter (fun w -> sweep_words := !sweep_words + w) (mw ())
-          | "alloc", "alloc.process", _ ->
-            Option.iter (fun w -> process_words := Some w) (mw ())
-          | "alloc", "alloc.sample", _ -> (
-            let str k =
-              match List.assoc_opt k e.Tel.attrs with
-              | Some (Tel.Str s) -> Some s
-              | _ -> None
-            in
-            match (str "site", str "phase", attr_int "samples" e.Tel.attrs) with
-            | Some site, Some phase, Some n ->
-              samples := (site, phase, n) :: !samples
-            | _ -> ())
-          | _ -> ())
-        track_evs)
-    tracks;
-  (* The sweep's own-domain words, minus the cells (same domain only
-     under an inline pool — the subtraction makes the row ~0 under a
-     parallel pool instead of double-counting) and minus any runs that
-     executed outside cells. Clamped: never negative. *)
-  let harness = max 0 (!sweep_words - !cells_words - !top_runs_words) in
-  if harness > 0 then
-    contribs := ("harness", { azero with a_spans = 1; a_words = harness }) :: !contribs;
-  let rows =
-    group_arollups !contribs
-    |> List.filter (fun (_, r) -> r.a_words > 0 || r.a_spans > 0 || r.a_rounds > 0)
-    |> List.stable_sort (fun (_, a) (_, b) -> Int.compare b.a_words a.a_words)
-  in
-  let other_words =
-    match List.assoc_opt "other" rows with Some r -> r.a_words | None -> 0
-  in
-  {
-    a_events = List.length evs;
-    a_tracks = List.length tracks;
-    a_runs = !runs;
-    a_rounds = !rounds;
-    a_total_words = !cells_words + !top_runs_words + harness;
-    a_other_words = other_words;
-    a_process_words = !process_words;
-    a_rows = rows;
-    a_samples =
-      List.stable_sort
-        (fun (_, _, a) (_, _, b) -> Int.compare b a)
-        (List.sort compare !samples);
-  }
+let alloc_rows a =
+  group_rollups (a.phases @ a.scopes)
+  |> List.filter (fun (_, r) -> r.words > 0 || r.spans > 0 || r.rounds > 0)
+  |> List.stable_sort (fun (_, x) (_, y) -> Int.compare y.words x.words)
 
 let alloc_report ?(top = 15) evs =
-  let d = alloc_summarize evs in
-  if d.a_total_words = 0 then
+  let d = attribute evs in
+  if d.total_words = 0 then
     "alloc: no allocation attributes in trace (record one with bap_tables \
      --alloc-out)\n"
   else
-    let pct x = 100. *. float_of_int x /. float_of_int d.a_total_words in
+    let rows = alloc_rows d in
+    let other = match List.assoc_opt "other" rows with Some r -> r.words | None -> 0 in
+    let rounds = List.fold_left (fun acc (_, r) -> acc + r.rounds) 0 d.phases in
+    let pct x = 100. *. float_of_int x /. float_of_int d.total_words in
     let head =
       Printf.sprintf
         "alloc: %d runs, %d rounds, %d minor words measured across %d tracks\n\
          attributed to named spans: %.1f%% (other %.1f%%)\n"
-        d.a_runs d.a_rounds d.a_total_words d.a_tracks
-        (pct (d.a_total_words - d.a_other_words))
-        (pct d.a_other_words)
+        d.runs rounds d.total_words d.tracks
+        (pct (d.total_words - other))
+        (pct other)
     in
     let head =
-      match d.a_process_words with
+      match d.process_words with
       | Some p when p > 0 ->
         head
         ^ Printf.sprintf "process minor words: %d (span coverage %.1f%%)\n" p
-            (100. *. float_of_int d.a_total_words /. float_of_int p)
+            (100. *. float_of_int d.total_words /. float_of_int p)
       | _ -> head
     in
-    let widest =
-      List.fold_left (fun m (_, r) -> max m r.a_words) 1 d.a_rows
-    in
+    let widest = List.fold_left (fun m (_, r) -> max m r.words) 1 rows in
     let bar w =
       let n = int_of_float (float_of_int w /. float_of_int widest *. 40.) in
       String.make (max (min n 40) 1) '#'
@@ -591,19 +465,19 @@ let alloc_report ?(top = 15) evs =
            (fun (name, r) ->
              [
                name;
-               string_of_int r.a_spans;
-               string_of_int r.a_rounds;
-               string_of_int r.a_words;
-               (if r.a_rounds > 0 then
-                  string_of_int (r.a_words / r.a_rounds)
+               string_of_int r.spans;
+               string_of_int r.rounds;
+               string_of_int r.words;
+               (if r.rounds > 0 then
+                  string_of_int (r.words / r.rounds)
                 else "-");
-               Printf.sprintf "%.1f%%" (pct r.a_words);
-               bar r.a_words;
+               Printf.sprintf "%.1f%%" (pct r.words);
+               bar r.words;
              ])
-           d.a_rows)
+           rows)
     in
     let sites =
-      match d.a_samples with
+      match d.samples with
       | [] -> "(no sampled allocation sites in trace)\n"
       | all ->
         let shown = List.filteri (fun i _ -> i < top) all in
@@ -708,3 +582,4 @@ let critpath ?(top = 15) evs =
              ])
            shown)
     ^ "\n"
+

@@ -1,12 +1,12 @@
 (** Offline analysis of JSONL traces (the engine behind [bap_trace]).
 
-    All three reports are deterministic functions of the logical event
-    stream: [summary] and [diff] ignore wall-clock fields entirely, and
-    [critpath] is the only reader of [wall_us]. *)
+    [summary], [diff] and [alloc_report] are deterministic renderings of
+    one attribution pass over the logical event stream; [critpath] is
+    the only reader of [wall_us]. *)
 
-type rollup = { spans : int; rounds : int; msgs : int; bits : int }
+type rollup = { spans : int; rounds : int; msgs : int; bits : int; words : int }
 
-type summary_data = {
+type attribution = {
   events : int;
   tracks : int;
   runs : int;  (** completed [sim.run] spans *)
@@ -16,8 +16,18 @@ type summary_data = {
   adversary_msgs : int;
   phases : (string * rollup) list;
       (** per sub-protocol phase, sorted by name; each simulated round's
-          messages/bits are attributed to the innermost core span whose
-          round extent contains it, or to ["other"]. *)
+          messages, bits and minor words are attributed to the innermost
+          core span whose round extent contains it, or to ["other"]. *)
+  scopes : (string * rollup) list;
+      (** allocation outside the rounds, sorted by name: a run's words
+          outside its rounds stay with ["sim.run"], a cell's outside its
+          runs with ["cell"], the sweep's remainder with ["harness"] *)
+  total_words : int;  (** every measured word, once: phases + scopes *)
+  process_words : int option;
+      (** the process-wide total, when the trace carries an
+          [alloc.process] instant (written by [bap_tables --alloc-out]) *)
+  samples : (string * string * int) list;
+      (** [(site, phase, samples)] from the Memprof profiler, descending *)
 }
 
 val load : string -> Telemetry.event list
@@ -28,7 +38,11 @@ val strip_wall : string -> string
 (** Remove every [wall_us] field from JSONL text — the canonical
     preparation before comparing two traces for logical equality. *)
 
-val summarize : Telemetry.event list -> summary_data
+val attribute : Telemetry.event list -> attribution
+(** The one attribution pass behind {!summary}, {!diff} and
+    {!alloc_report}. Words come from the [minor_words] attributes the
+    allocation probe adds to End events; a trace recorded with the probe
+    off attributes zero words. *)
 
 val summary : Telemetry.event list -> string
 (** Human-readable rollup: headline rounds/messages/bits plus a
@@ -42,31 +56,9 @@ val critpath : ?top:int -> Telemetry.event list -> string
 (** The [top] (default 15) slowest cells by wall time, with ASCII
     timing bars. Requires a trace recorded with wall-clock enabled. *)
 
-type alloc_rollup = { a_spans : int; a_rounds : int; a_words : int }
-
-type alloc_data = {
-  a_events : int;
-  a_tracks : int;
-  a_runs : int;
-  a_rounds : int;  (** rounds carrying a [minor_words] attribute *)
-  a_total_words : int;  (** sum of all rows — every measured word, once *)
-  a_other_words : int;  (** rounds covered by no core span *)
-  a_process_words : int option;
-      (** the process-wide total, when the trace carries an
-          [alloc.process] instant (written by [bap_tables --alloc-out]) *)
-  a_rows : (string * alloc_rollup) list;  (** sorted by words, descending *)
-  a_samples : (string * string * int) list;
-      (** [(site, phase, samples)] from the Memprof profiler, descending *)
-}
-
-val alloc_summarize : Telemetry.event list -> alloc_data
-(** Per-phase allocation attribution from the [minor_words] attributes
-    the memprobe adds to round / sim.run / cell / sweep End events.
-    Rounds attribute like {!summarize} (innermost covering core span,
-    else ["other"]); a run's words outside its rounds stay with
-    ["sim.run"], a cell's outside its runs with ["cell"], the sweep's
-    remainder with ["harness"] — so the rows partition the measured
-    total. *)
+val alloc_rows : attribution -> (string * rollup) list
+(** Phases and scopes in one list, sorted by words descending: the rows
+    of {!alloc_report}, which partition [total_words]. *)
 
 val alloc_report : ?top:int -> Telemetry.event list -> string
 (** Human-readable allocation table (exact word counts, words/round,

@@ -1,34 +1,20 @@
 (* Memprobe: the allocation half of the telemetry spine.
 
-   The span layer (PR 5) attributes rounds, messages and bits to phases;
-   this module attributes *allocation* — per-span GC deltas folded into
-   the sharded metrics registry under the innermost covering span, plus
-   an optional [Gc.Memprof]-backed sampling profiler that maps
-   allocation backtraces to phase names.
+   Per-span attribution is not done here: with the probe on, every
+   [Telemetry.span] stamps its domain-local minor-word delta on its End
+   event and folds its GC deltas into the metrics registry as a
+   self-time frame. This module is the probe's public face — the
+   on/off switch with its process baseline, whole-process GC
+   snapshots, and an optional [Gc.Memprof]-backed sampling profiler
+   that labels allocation backtraces with the innermost open span.
 
-   Everything is off by default. The fast path of every entry point is
-   one [Atomic.get] and a branch; with the probe disabled, instrumented
-   code allocates nothing and emits nothing, so tracing-off runs stay
-   byte-identical to a build without the probe.
+   Everything is off by default, and with the probe off instrumented
+   code emits nothing extra, so traces keep their exact bytes.
 
-   Two GC primitives, deliberately separated:
-
-   - [Gc.minor_words ()] is *domain-local* in OCaml 5: it counts only
-     the words allocated by the calling domain. That makes it the one
-     correct primitive for per-span attribution under a domain pool —
-     a cell measured on its worker domain sees only its own words, so
-     per-span numbers are deterministic and independent of [--jobs].
-   - [Gc.quick_stat ()] is *process-global* (domains publish their
-     counters into it). It is the right primitive for whole-process
-     snapshots — heap size, compactions, promotion totals — and wrong
-     for per-span deltas, where other domains' allocation would bleed
-     into the interval. Per-phase deltas of its global fields are exact
-     at [--jobs 1] and documented as approximate above that.
-
-   All [Gc] reads in the repo are confined to this file: the D002 lint
-   rule pins [Gc.quick_stat]/[Gc.minor_words]/[Gc.Memprof.*] to
-   lib/telemetry the same way it pins the wall clock to the timing
-   shims, so allocation numbers flow through one audited probe. *)
+   [Gc] reads are confined to lib/telemetry: the D002 lint rule pins
+   [Gc.quick_stat]/[Gc.minor_words]/[Gc.Memprof.*] there the same way
+   it pins the wall clock to the timing shims, so allocation numbers
+   flow through one audited probe. *)
 
 (* ---------- process snapshots (Gc.quick_stat) ---------- *)
 
@@ -70,15 +56,14 @@ let delta ~before ~after =
 
 (* ---------- enable/disable ---------- *)
 
-let on : bool Atomic.t = Atomic.make false
+(* The switch itself lives next to [Telemetry.span], its only reader. *)
 let baseline : snapshot option Atomic.t = Atomic.make None
-let enabled () = Atomic.get on
 
 let enable () =
   Atomic.set baseline (Some (snapshot ()));
-  Atomic.set on true
+  Telemetry.set_alloc_probe true
 
-let disable () = Atomic.set on false
+let disable () = Telemetry.set_alloc_probe false
 
 let process_delta () =
   match Atomic.get baseline with
@@ -86,94 +71,6 @@ let process_delta () =
   | None -> snapshot ()
 
 let domain_minor_words () = Gc.minor_words ()
-
-(* ---------- per-span attribution (the metrics fold) ---------- *)
-
-(* A phase frame remembers where its interval started and accumulates
-   its children's totals, so on exit [self = total - children] lands
-   under the innermost covering span — the same "innermost wins"
-   convention the trace analysis uses for round attribution. Frames
-   live on a per-domain stack: spans never migrate domains (a fiber
-   runs its whole protocol on one domain; a pool task is a whole cell),
-   so no synchronization is needed. *)
-type frame = {
-  fname : string;
-  start_minor : float; (* domain-local *)
-  start_global : snapshot; (* process-global; exact at jobs=1 *)
-  mutable child_minor : float;
-  mutable child_promoted : float;
-  mutable child_major : float;
-  mutable child_minor_col : int;
-  mutable child_major_col : int;
-}
-
-let stack_key : frame list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let current_phase () =
-  match !(Domain.DLS.get stack_key) with [] -> None | fr :: _ -> Some fr.fname
-
-let phase name f =
-  if not (Atomic.get on) then f ()
-  else begin
-    let st = Domain.DLS.get stack_key in
-    let fr =
-      {
-        fname = name;
-        start_minor = Gc.minor_words ();
-        start_global = snapshot ();
-        child_minor = 0.;
-        child_promoted = 0.;
-        child_major = 0.;
-        child_minor_col = 0;
-        child_major_col = 0;
-      }
-    in
-    st := fr :: !st;
-    let finish () =
-      match !st with
-      | top :: rest when top == fr ->
-        st := rest;
-        let total_minor = Gc.minor_words () -. fr.start_minor in
-        let g = delta ~before:fr.start_global ~after:(snapshot ()) in
-        (match rest with
-        | parent :: _ ->
-          parent.child_minor <- parent.child_minor +. total_minor;
-          parent.child_promoted <- parent.child_promoted +. g.promoted_words;
-          parent.child_major <- parent.child_major +. g.major_words;
-          parent.child_minor_col <- parent.child_minor_col + g.minor_collections;
-          parent.child_major_col <- parent.child_major_col + g.major_collections
-        | [] -> ());
-        let self_minor = total_minor -. fr.child_minor in
-        Telemetry.Metrics.counter ("alloc.spans/" ^ name) 1;
-        Telemetry.Metrics.counter
-          ("alloc.minor_words/" ^ name)
-          (int_of_float self_minor);
-        Telemetry.Metrics.counter
-          ("alloc.promoted_words/" ^ name)
-          (int_of_float (g.promoted_words -. fr.child_promoted));
-        Telemetry.Metrics.counter
-          ("alloc.major_words/" ^ name)
-          (int_of_float (g.major_words -. fr.child_major));
-        Telemetry.Metrics.counter
-          ("alloc.minor_collections/" ^ name)
-          (g.minor_collections - fr.child_minor_col);
-        Telemetry.Metrics.counter
-          ("alloc.major_collections/" ^ name)
-          (g.major_collections - fr.child_major_col);
-        Telemetry.Metrics.observe
-          ("alloc.span_minor_words/" ^ name)
-          (int_of_float total_minor)
-      | _ ->
-        (* Imbalanced unwind (an effect handler crossed the frame):
-           drop the frame wherever it sits rather than corrupt the
-           stack; its words stay with the enclosing span. *)
-        st := List.filter (fun g -> g != fr) !st
-    in
-    Fun.protect ~finally:finish f
-  end
-
-let phase_if cond name f = if cond then phase name f else f ()
 
 (* ---------- sampling profiler (Gc.Memprof) ---------- *)
 
@@ -234,7 +131,7 @@ let site_of callstack =
 
 let record_sample (a : Gc.Memprof.allocation) =
   let phase =
-    match current_phase () with Some p -> p | None -> "(no phase)"
+    match Telemetry.innermost_frame () with Some p -> p | None -> "(no phase)"
   in
   let site = site_of a.Gc.Memprof.callstack in
   let t = Domain.DLS.get table_key in
@@ -292,10 +189,10 @@ let samples () =
     Hashtbl.fold (fun (phase, site) n acc -> (phase, site, !n) :: acc) merged []
     |> List.sort compare
 
-(* Sampled sites ride the trace as instants on whatever track the
-   caller is on, sorted, so a trace file is self-contained for
-   [bap_trace alloc] and byte-stable for a fixed sample set. *)
-let flush_samples_to_trace () =
+(* Sampled sites and the process total ride the trace as instants on
+   whatever track the caller is on, so a trace file is self-contained
+   for [bap_trace alloc] and byte-stable for a fixed sample set. *)
+let flush_to_trace () =
   List.iter
     (fun (phase, site, n) ->
       Telemetry.instant ~cat:"alloc" ~name:"alloc.sample"
@@ -306,4 +203,17 @@ let flush_samples_to_trace () =
             ("samples", Telemetry.Int n);
           ])
         ())
-    (samples ())
+    (samples ());
+  Telemetry.instant ~cat:"alloc" ~name:"alloc.process"
+    ~attrs:(fun () ->
+      let d = process_delta () in
+      [
+        ("minor_words", Telemetry.Int (int_of_float d.minor_words));
+        ("promoted_words", Telemetry.Int (int_of_float d.promoted_words));
+        ("major_words", Telemetry.Int (int_of_float d.major_words));
+        ("minor_collections", Telemetry.Int d.minor_collections);
+        ("major_collections", Telemetry.Int d.major_collections);
+        ("compactions", Telemetry.Int d.compactions);
+        ("heap_words", Telemetry.Int d.heap_words);
+      ])
+    ()

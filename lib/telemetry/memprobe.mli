@@ -1,14 +1,14 @@
-(** Allocation observatory: per-span GC attribution and an optional
-    sampling profiler.
+(** Allocation observatory: the probe switch, process GC snapshots and
+    an optional sampling profiler.
 
-    The probe is off by default; when off, every entry point is one
-    atomic load plus a branch and instrumented code emits nothing, so
-    results (and traces, when tracing is on) stay byte-identical to an
-    uninstrumented build. When on, {!phase} folds per-span GC deltas
-    into the {!Telemetry.Metrics} registry under the innermost covering
-    span, and callers can stamp spans with {!domain_minor_words} deltas.
+    The probe is off by default. Per-span attribution is
+    {!Telemetry.span}'s job: with the probe on, each span stamps its
+    domain-local [minor_words] delta on its End event and folds its GC
+    deltas into the {!Telemetry.Metrics} registry as a self-time frame.
+    With it off, instrumented code emits nothing extra, so results and
+    traces stay byte-identical.
 
-    All [Gc] reads in the repo are confined to this module (lint rule
+    All [Gc] reads in the repo are confined to lib/telemetry (lint rule
     D002, the same allowlist that pins the wall clock to the timing
     shims). Code outside lib/telemetry reads allocation through this
     interface only. *)
@@ -36,13 +36,11 @@ val delta : before:snapshot -> after:snapshot -> snapshot
     [compactions] keep the [after] levels (a delta still answers
     "where is the heap now"). *)
 
-val enabled : unit -> bool
-(** One atomic load: is the probe on? Instrumented code branches on
-    this before touching any [Gc] counter or building any attribute. *)
-
 val enable : unit -> unit
 (** Turn the probe on and record the process baseline for
-    {!process_delta}. Idempotent (re-enabling resets the baseline). *)
+    {!process_delta}. Idempotent (re-enabling resets the baseline). The
+    probe records through the installed telemetry sink; with none
+    installed, spans record nothing. *)
 
 val disable : unit -> unit
 (** Turn the probe off. Accumulated metrics and samples survive. *)
@@ -54,31 +52,9 @@ val process_delta : unit -> snapshot
 
 val domain_minor_words : unit -> float
 (** Words allocated on the minor heap {e by the calling domain}
-    ([Gc.minor_words]). Domain-local, hence deterministic per span
-    regardless of [--jobs]; the primitive behind every per-span
+    ([Gc.minor_words]). Domain-local, hence deterministic regardless of
+    [--jobs]; the same counter {!Telemetry.span} reads for its
     [minor_words] attribute. *)
-
-val phase : string -> (unit -> 'a) -> 'a
-(** [phase name f] runs [f] and, when {!enabled}, folds the GC delta of
-    its extent into the metrics registry under [name] with self-time
-    semantics: a nested phase's words are subtracted from its parent,
-    so every word lands under the innermost covering span exactly once.
-    Counters written: [alloc.spans/name], [alloc.minor_words/name]
-    (domain-local, exact), [alloc.promoted_words/name],
-    [alloc.major_words/name], [alloc.minor_collections/name],
-    [alloc.major_collections/name] (process-global deltas, exact at
-    [--jobs 1]); histogram [alloc.span_minor_words/name] observes each
-    span's {e total} (children included). Exception-safe; when off it
-    is exactly [f ()]. *)
-
-val phase_if : bool -> string -> (unit -> 'a) -> 'a
-(** [phase_if cond name f] is {!phase} when [cond], else [f ()] — the
-    lock-step idiom: measure each protocol phase once (process 0), not
-    once per simulated process. *)
-
-val current_phase : unit -> string option
-(** Innermost open phase on the calling domain, if any (the sampler's
-    attribution key). *)
 
 val start_sampling : ?rate:float -> unit -> bool
 (** Start the [Gc.Memprof] sampling profiler at [rate] samples per word
@@ -97,8 +73,9 @@ val samples : unit -> (string * string * int) list
     domain, sorted. A site is ["file.ml:line"], or ["<unknown>"] when
     the backtrace carries no location. *)
 
-val flush_samples_to_trace : unit -> unit
-(** Emit {!samples} as [alloc.sample] instants (cat ["alloc"]) on the
-    caller's current track, sorted — run this before
-    [Telemetry.shutdown] so the trace file is self-contained for
-    [bap_trace alloc]. *)
+val flush_to_trace : unit -> unit
+(** Make the trace self-contained for [bap_trace alloc]: emit {!samples}
+    as sorted [alloc.sample] instants (cat ["alloc"]) and one
+    [alloc.process] instant carrying {!process_delta}, on the caller's
+    current track. Run after the work quiesces (so every domain's
+    counters are published) and before [Telemetry.shutdown]. *)

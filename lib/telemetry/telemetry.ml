@@ -171,6 +171,118 @@ let with_track name f =
     slot.tr <- Some (find_track st name);
     Fun.protect ~finally:(fun () -> slot.tr <- saved) f
 
+module Metrics = struct
+  type hist = H.hist = { count : int; total : int; min_v : int; max_v : int }
+
+  type snap = {
+    counters : (string * int) list;
+    gauges : (string * int) list;
+    hists : (string * hist) list;
+  }
+
+  let merge_hist = H.merge
+
+  let shard_for st =
+    let slot = tls_for st in
+    match slot.sh with
+    | Some sh -> sh
+    | None ->
+      let sh : shard =
+        {
+          counters = Hashtbl.create 16;
+          gauges = Hashtbl.create 16;
+          hists = Hashtbl.create 16;
+        }
+      in
+      Mutex.lock st.mu;
+      st.shards <- sh :: st.shards;
+      Mutex.unlock st.mu;
+      slot.sh <- Some sh;
+      sh
+
+  let bump tbl name f init =
+    match Hashtbl.find_opt tbl name with
+    | Some r -> r := f !r
+    | None -> Hashtbl.replace tbl name (ref init)
+
+  let counter name v =
+    match Atomic.get state with
+    | None -> ()
+    | Some st -> bump (shard_for st).counters name (fun x -> x + v) v
+
+  let gauge_max name v =
+    match Atomic.get state with
+    | None -> ()
+    | Some st -> bump (shard_for st).gauges name (fun x -> max x v) v
+
+  let observe name v =
+    match Atomic.get state with
+    | None -> ()
+    | Some st ->
+      bump (shard_for st).hists name
+        (fun h -> H.observe h v)
+        (H.observe H.empty v)
+
+  let sorted_bindings tbl conv =
+    Hashtbl.fold (fun k v acc -> (k, conv v) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+  (* Fold same-named bindings of a sorted association list. *)
+  let group ~merge l =
+    let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
+    let rec go acc = function
+      | [] -> List.rev acc
+      | (k, v) :: rest -> (
+        match acc with
+        | (k', v') :: tl when String.equal k' k -> go ((k', merge v' v) :: tl) rest
+        | _ -> go ((k, v) :: acc) rest)
+    in
+    go [] sorted
+
+  let snapshot () =
+    match Atomic.get state with
+    | None -> { counters = []; gauges = []; hists = [] }
+    | Some st ->
+      Mutex.lock st.mu;
+      let shards = st.shards in
+      Mutex.unlock st.mu;
+      let all select conv =
+        List.concat_map (fun sh -> sorted_bindings (select sh) conv) shards
+      in
+      {
+        counters = group ~merge:( + ) (all (fun s -> s.counters) (fun r -> !r));
+        gauges = group ~merge:max (all (fun s -> s.gauges) (fun r -> !r));
+        hists = group ~merge:H.merge (all (fun s -> s.hists) (fun r -> !r));
+      }
+
+  let to_json snap =
+    let b = Buffer.create 512 in
+    let obj name fields render =
+      Buffer.add_string b (Printf.sprintf "  \"%s\": {" name);
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char b ',';
+          Buffer.add_string b
+            (Printf.sprintf "\n    \"%s\": %s" (Json.escape k) (render v)))
+        fields;
+      if fields <> [] then Buffer.add_string b "\n  ";
+      Buffer.add_char b '}'
+    in
+    Buffer.add_string b "{\n  \"version\": 1,\n";
+    obj "counters" snap.counters string_of_int;
+    Buffer.add_string b ",\n";
+    obj "gauges" snap.gauges string_of_int;
+    Buffer.add_string b ",\n";
+    obj "hists" snap.hists (fun (h : hist) ->
+        Printf.sprintf
+          "{\"count\": %d, \"total\": %d, \"mean\": %.3f, \"min\": %d, \"max\": %d}"
+          h.count h.total
+          (if h.count = 0 then 0. else float_of_int h.total /. float_of_int h.count)
+          h.min_v h.max_v);
+    Buffer.add_string b "\n}\n";
+    Buffer.contents b
+end
+
 let emit st tr ~name ~cat ~ph ~attrs =
   if Atomic.fetch_and_add st.events_total 1 >= st.limit then
     Atomic.incr st.dropped_n
@@ -185,25 +297,140 @@ let emit st tr ~name ~cat ~ph ~attrs =
     Mutex.unlock tr.tmu
   end
 
+(* ---------- allocation frames ---------- *)
+
+(* With the allocation probe on ([Memprobe.enable] flips the switch),
+   every folding span is also a frame on a per-domain stack. A frame
+   remembers where its interval started and accumulates its children's
+   totals, so on exit [self = total - children] lands under the
+   innermost covering span exactly once — the same "innermost wins"
+   convention the trace analysis uses for round attribution. Spans
+   never migrate domains (a fiber runs its whole protocol on one
+   domain; a pool task is a whole cell), so the stack needs no lock.
+
+   Two GC readings, deliberately separated: [Gc.minor_words] is
+   domain-local in OCaml 5, hence deterministic per span at any --jobs;
+   [Gc.quick_stat] is process-global, so the promoted/major/collection
+   deltas are exact at --jobs 1 and approximate above it. *)
+
+let alloc_probe = Atomic.make false
+let set_alloc_probe on = Atomic.set alloc_probe on
+
+type frame = {
+  fname : string;
+  gc0 : Gc.stat;
+  mutable child_minor : float;
+  mutable child_promoted : float;
+  mutable child_major : float;
+  mutable child_minor_col : int;
+  mutable child_major_col : int;
+}
+
+let frames : frame list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+
+let innermost_frame () =
+  match !(Domain.DLS.get frames) with [] -> None | fr :: _ -> Some fr.fname
+
+let push_frame name =
+  let fr =
+    {
+      fname = name;
+      gc0 = Gc.quick_stat ();
+      child_minor = 0.;
+      child_promoted = 0.;
+      child_major = 0.;
+      child_minor_col = 0;
+      child_major_col = 0;
+    }
+  in
+  let stack = Domain.DLS.get frames in
+  stack := fr :: !stack;
+  fr
+
+(* Pop [fr], whose extent allocated [words] on this domain, and fold its
+   self-time deltas into [st]'s registry. Frames still open above [fr]
+   belong to a fiber that will never resume — process 0 suspended in a
+   run that a round limit, a watchdog cancel or an injected crash
+   aborted: they are discarded and their words stay with [fr], so no
+   later span nests under a dead frame. *)
+let pop_frame st fr words =
+  let stack = Domain.DLS.get frames in
+  let rec below = function
+    | top :: rest when top == fr -> Some rest
+    | _ :: rest -> below rest
+    | [] -> None
+  in
+  match below !stack with
+  | None -> ()
+  | Some rest ->
+    stack := rest;
+    let g = Gc.quick_stat () in
+    let promoted = g.Gc.promoted_words -. fr.gc0.Gc.promoted_words in
+    let major = g.Gc.major_words -. fr.gc0.Gc.major_words in
+    let minor_col = g.Gc.minor_collections - fr.gc0.Gc.minor_collections in
+    let major_col = g.Gc.major_collections - fr.gc0.Gc.major_collections in
+    (match rest with
+    | parent :: _ ->
+      parent.child_minor <- parent.child_minor +. words;
+      parent.child_promoted <- parent.child_promoted +. promoted;
+      parent.child_major <- parent.child_major +. major;
+      parent.child_minor_col <- parent.child_minor_col + minor_col;
+      parent.child_major_col <- parent.child_major_col + major_col
+    | [] -> ());
+    let sh = Metrics.shard_for st in
+    let count key v = Metrics.bump sh.counters (key ^ fr.fname) (( + ) v) v in
+    count "alloc.spans/" 1;
+    count "alloc.minor_words/" (int_of_float (words -. fr.child_minor));
+    count "alloc.promoted_words/" (int_of_float (promoted -. fr.child_promoted));
+    count "alloc.major_words/" (int_of_float (major -. fr.child_major));
+    count "alloc.minor_collections/" (minor_col - fr.child_minor_col);
+    count "alloc.major_collections/" (major_col - fr.child_major_col);
+    let total = int_of_float words in
+    Metrics.bump sh.hists
+      ("alloc.span_minor_words/" ^ fr.fname)
+      (fun h -> H.observe h total)
+      (H.observe H.empty total)
+
 let eval = function None -> [] | Some f -> f ()
 
-let span ?(cat = "") ?attrs ?end_attrs ~name f =
-  match enabled () with
+(* The one instrumentation primitive. Fully off (no sink) it is one
+   atomic load; with a sink but neither tracing nor the probe, two.
+   Probe-off events carry exactly the caller's attributes; with the
+   probe on, [minor_words] is appended last, so a probe-off trace keeps
+   its bytes. *)
+let span ?(cat = "") ?attrs ?end_attrs ?(fold = true) ~name f =
+  match Atomic.get state with
   | None -> f ()
-  | Some st -> (
-    let tr = cur_track st in
-    emit st tr ~name ~cat ~ph:Begin ~attrs:(eval attrs);
-    match f () with
-    | v ->
-      emit st tr ~name ~cat ~ph:End ~attrs:(eval end_attrs);
-      v
-    | exception e ->
-      emit st tr ~name ~cat ~ph:End
-        ~attrs:[ ("error", Str (Printexc.to_string e)) ];
-      raise e)
-
-let span_if cond ?cat ?attrs ?end_attrs ~name f =
-  if cond then span ?cat ?attrs ?end_attrs ~name f else f ()
+  | Some st ->
+    let trace = tracing st and probe = Atomic.get alloc_probe in
+    if not (trace || probe) then f ()
+    else begin
+      let tr = if trace then Some (cur_track st) else None in
+      let emit_ph ph attrs =
+        match tr with
+        | Some tr -> emit st tr ~name ~cat ~ph ~attrs:(attrs ())
+        | None -> ()
+      in
+      emit_ph Begin (fun () -> eval attrs);
+      let minor0 = if probe then Gc.minor_words () else 0. in
+      let fr = if probe && fold then Some (push_frame name) else None in
+      let finish attrs =
+        if not probe then emit_ph End attrs
+        else begin
+          let words = Gc.minor_words () -. minor0 in
+          (match fr with Some fr -> pop_frame st fr words | None -> ());
+          emit_ph End (fun () ->
+              attrs () @ [ ("minor_words", Int (int_of_float words)) ])
+        end
+      in
+      match f () with
+      | v ->
+        finish (fun () -> eval end_attrs);
+        v
+      | exception e ->
+        finish (fun () -> [ ("error", Str (Printexc.to_string e)) ]);
+        raise e
+    end
 
 let instant ?(cat = "") ?attrs ~name () =
   match enabled () with
@@ -345,115 +572,3 @@ let signal_shutdown () =
          with Sys_error _ -> ())
       | Counters_only | Memory -> ()
     end
-
-module Metrics = struct
-  type hist = H.hist = { count : int; total : int; min_v : int; max_v : int }
-
-  type snap = {
-    counters : (string * int) list;
-    gauges : (string * int) list;
-    hists : (string * hist) list;
-  }
-
-  let merge_hist = H.merge
-
-  let shard_for st =
-    let slot = tls_for st in
-    match slot.sh with
-    | Some sh -> sh
-    | None ->
-      let sh : shard =
-        {
-          counters = Hashtbl.create 16;
-          gauges = Hashtbl.create 16;
-          hists = Hashtbl.create 16;
-        }
-      in
-      Mutex.lock st.mu;
-      st.shards <- sh :: st.shards;
-      Mutex.unlock st.mu;
-      slot.sh <- Some sh;
-      sh
-
-  let bump tbl name f init =
-    match Hashtbl.find_opt tbl name with
-    | Some r -> r := f !r
-    | None -> Hashtbl.replace tbl name (ref init)
-
-  let counter name v =
-    match Atomic.get state with
-    | None -> ()
-    | Some st -> bump (shard_for st).counters name (fun x -> x + v) v
-
-  let gauge_max name v =
-    match Atomic.get state with
-    | None -> ()
-    | Some st -> bump (shard_for st).gauges name (fun x -> max x v) v
-
-  let observe name v =
-    match Atomic.get state with
-    | None -> ()
-    | Some st ->
-      bump (shard_for st).hists name
-        (fun h -> H.observe h v)
-        (H.observe H.empty v)
-
-  let sorted_bindings tbl conv =
-    Hashtbl.fold (fun k v acc -> (k, conv v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-  (* Fold same-named bindings of a sorted association list. *)
-  let group ~merge l =
-    let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
-    let rec go acc = function
-      | [] -> List.rev acc
-      | (k, v) :: rest -> (
-        match acc with
-        | (k', v') :: tl when String.equal k' k -> go ((k', merge v' v) :: tl) rest
-        | _ -> go ((k, v) :: acc) rest)
-    in
-    go [] sorted
-
-  let snapshot () =
-    match Atomic.get state with
-    | None -> { counters = []; gauges = []; hists = [] }
-    | Some st ->
-      Mutex.lock st.mu;
-      let shards = st.shards in
-      Mutex.unlock st.mu;
-      let all select conv =
-        List.concat_map (fun sh -> sorted_bindings (select sh) conv) shards
-      in
-      {
-        counters = group ~merge:( + ) (all (fun s -> s.counters) (fun r -> !r));
-        gauges = group ~merge:max (all (fun s -> s.gauges) (fun r -> !r));
-        hists = group ~merge:H.merge (all (fun s -> s.hists) (fun r -> !r));
-      }
-
-  let to_json snap =
-    let b = Buffer.create 512 in
-    let obj name fields render =
-      Buffer.add_string b (Printf.sprintf "  \"%s\": {" name);
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "\n    \"%s\": %s" (Json.escape k) (render v)))
-        fields;
-      if fields <> [] then Buffer.add_string b "\n  ";
-      Buffer.add_char b '}'
-    in
-    Buffer.add_string b "{\n  \"version\": 1,\n";
-    obj "counters" snap.counters string_of_int;
-    Buffer.add_string b ",\n";
-    obj "gauges" snap.gauges string_of_int;
-    Buffer.add_string b ",\n";
-    obj "hists" snap.hists (fun (h : hist) ->
-        Printf.sprintf
-          "{\"count\": %d, \"total\": %d, \"mean\": %.3f, \"min\": %d, \"max\": %d}"
-          h.count h.total
-          (if h.count = 0 then 0. else float_of_int h.total /. float_of_int h.count)
-          h.min_v h.max_v);
-    Buffer.add_string b "\n}\n";
-    Buffer.contents b
-end

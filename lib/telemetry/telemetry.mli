@@ -59,27 +59,43 @@ val span :
   ?cat:string ->
   ?attrs:(unit -> (string * value) list) ->
   ?end_attrs:(unit -> (string * value) list) ->
+  ?fold:bool ->
   name:string ->
   (unit -> 'a) ->
   'a
 (** [span ~name f] brackets [f] with Begin/End events on the current
-    track. [attrs] is evaluated at entry, [end_attrs] after [f]
-    returns; both are thunks so a disabled sink costs nothing. If [f]
-    raises, the End event carries an ["error"] attribute and the
-    exception is re-raised. Safe around effect-performing code: the
-    fiber may suspend and resume inside the span. *)
+    track — the one instrumentation primitive for time and allocation.
+    [attrs] is evaluated at entry, [end_attrs] after [f] returns; both
+    are thunks so a disabled sink costs nothing. If [f] raises, the End
+    event carries an ["error"] attribute and the exception is
+    re-raised. Safe around effect-performing code: the fiber may
+    suspend and resume inside the span.
 
-val span_if :
-  bool ->
-  ?cat:string ->
-  ?attrs:(unit -> (string * value) list) ->
-  ?end_attrs:(unit -> (string * value) list) ->
-  name:string ->
-  (unit -> 'a) ->
-  'a
-(** [span_if cond ...] is {!span} when [cond], else just the thunk.
-    Used by lock-step protocol code to emit each phase span once (from
-    process 0) instead of once per simulated process. *)
+    With the allocation probe on ({!Memprobe.enable}) and any sink
+    installed, the span also records allocation:
+    - the End event gains the domain-local [minor_words] delta of [f]
+      as its last attribute (probe-off events keep their exact bytes);
+    - when [fold] (default [true]), the span is a self-time frame: its
+      GC deltas fold into the metrics registry under [name], minus its
+      nested frames' — counters [alloc.spans/name],
+      [alloc.minor_words/name] (domain-local, exact),
+      [alloc.promoted_words/name], [alloc.major_words/name],
+      [alloc.minor_collections/name], [alloc.major_collections/name]
+      (process-global, exact at [--jobs 1]) and histogram
+      [alloc.span_minor_words/name] of each span's inclusive total —
+      and it labels the Memprof sampler's allocations.
+
+    Pass [~fold:false] for a span that frames opened inside it outlive:
+    the scheduler's [round], inside which process 0's fiber opens
+    protocol spans that stay open across round boundaries. *)
+
+val set_alloc_probe : bool -> unit
+(** The probe's switch, read by {!span}. Call {!Memprobe.enable} and
+    {!Memprobe.disable}, which also keep the process baseline. *)
+
+val innermost_frame : unit -> string option
+(** The innermost open allocation frame on the calling domain, if any:
+    the sampler's attribution key. *)
 
 val instant :
   ?cat:string ->

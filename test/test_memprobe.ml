@@ -1,7 +1,8 @@
-(* The allocation observatory (lib/telemetry/memprobe): the probe must
-   never perturb results at any --jobs, its per-phase counters must obey
-   the same exact merge laws as every other metric, and the alloc report
-   must round-trip through its own parser. *)
+(* The allocation probe (Telemetry.span with Memprobe on): it must never
+   perturb results or probe-off trace bytes, its per-span counters must
+   obey the same exact merge laws as every other metric and agree with
+   the trace, and the alloc report must round-trip through its own
+   parser. *)
 
 module Tel = Bap_telemetry.Telemetry
 module Memprobe = Bap_telemetry.Memprobe
@@ -124,7 +125,7 @@ let test_alloc_counters_merge () =
           Pool.with_pool ~jobs:4 (fun pool ->
               let tasks =
                 Array.init 100 (fun i () ->
-                    Memprobe.phase "load" (fun () -> churn 1000);
+                    Tel.span ~name:"load" (fun () -> churn 1000);
                     i)
               in
               ignore (Pool.run_all pool tasks)));
@@ -149,8 +150,8 @@ let test_alloc_self_time () =
      inclusive total. *)
   with_tel Tel.Counters_only (fun () ->
       with_probe (fun () ->
-          Memprobe.phase "outer" (fun () ->
-              Memprobe.phase "inner" (fun () -> churn 30_000)));
+          Tel.span ~name:"outer" (fun () ->
+              Tel.span ~name:"inner" (fun () -> churn 30_000)));
       let s = Tel.Metrics.snapshot () in
       let counter name =
         Option.value ~default:0
@@ -172,6 +173,39 @@ let test_alloc_self_time () =
         Alcotest.(check bool) "outer histogram is inclusive of the child" true
           (h.Tel.Metrics.total >= inner))
 
+type _ Effect.t += Park : unit Effect.t
+
+let test_abandoned_frames () =
+  (* A run aborted mid-round leaves process 0's fiber suspended inside
+     its open spans. Closing the enclosing span must discard those
+     frames, fold its own, and leave the stack empty for what follows. *)
+  let parked () =
+    Effect.Deep.match_with
+      (fun () -> Tel.span ~name:"orphan" (fun () -> Effect.perform Park))
+      ()
+      {
+        Effect.Deep.retc = ignore;
+        exnc = raise;
+        effc =
+          (fun (type a) (eff : a Effect.t) ->
+            match eff with
+            | Park -> Some (fun (_ : (a, unit) Effect.Deep.continuation) -> ())
+            | _ -> None);
+      }
+  in
+  with_tel Tel.Counters_only (fun () ->
+      with_probe (fun () ->
+          Tel.span ~name:"run" parked;
+          Alcotest.(check (option string)) "no frame left open" None
+            (Tel.innermost_frame ());
+          Tel.span ~name:"next" (fun () -> churn 1000));
+      let s = Tel.Metrics.snapshot () in
+      let spans name = List.assoc_opt ("alloc.spans/" ^ name) s.Tel.Metrics.counters in
+      Alcotest.(check (option int)) "the enclosing span folds" (Some 1) (spans "run");
+      Alcotest.(check (option int)) "the abandoned span never closes" None
+        (spans "orphan");
+      Alcotest.(check (option int)) "later spans fold normally" (Some 1) (spans "next"))
+
 (* ---------- the alloc report parses its own output ---------- *)
 
 let test_alloc_report_roundtrip () =
@@ -180,15 +214,16 @@ let test_alloc_report_roundtrip () =
   with_probe (fun () -> ignore (small_run 11));
   Tel.shutdown ();
   let evs = Analysis.load path in
-  let d = Analysis.alloc_summarize evs in
-  Alcotest.(check bool) "rounds carry attribution" true (d.Analysis.a_rounds > 0);
-  Alcotest.(check bool) "words were measured" true (d.Analysis.a_total_words > 0);
-  Alcotest.(check bool) "per-phase rows present" true (d.Analysis.a_rows <> []);
+  let d = Analysis.attribute evs in
+  let rows = Analysis.alloc_rows d in
+  let sum f = List.fold_left (fun acc (_, r) -> acc + f r) 0 d.Analysis.phases in
+  Alcotest.(check bool) "rounds carry attribution" true
+    (sum (fun r -> r.Analysis.rounds) > 0 && sum (fun r -> r.Analysis.words) > 0);
+  Alcotest.(check bool) "words were measured" true (d.Analysis.total_words > 0);
+  Alcotest.(check bool) "per-phase rows present" true (rows <> []);
   (* The rows partition the measured total: every word lands once. *)
-  let row_sum =
-    List.fold_left (fun acc (_, r) -> acc + r.Analysis.a_words) 0 d.Analysis.a_rows
-  in
-  Alcotest.(check int) "rows partition the total" d.Analysis.a_total_words row_sum;
+  let row_sum = List.fold_left (fun acc (_, r) -> acc + r.Analysis.words) 0 rows in
+  Alcotest.(check int) "rows partition the total" d.Analysis.total_words row_sum;
   (* The human-facing table round-trips through its own parser with the
      exact same numbers. *)
   let report = Analysis.alloc_report evs in
@@ -196,14 +231,79 @@ let test_alloc_report_roundtrip () =
   Alcotest.(check bool) "parser recovered rows" true (parsed <> []);
   List.iter
     (fun (name, words) ->
-      match List.assoc_opt name d.Analysis.a_rows with
-      | Some r -> Alcotest.(check int) ("row " ^ name) r.Analysis.a_words words
-      | None -> Alcotest.failf "parsed row %s not in alloc_summarize" name)
+      match List.assoc_opt name rows with
+      | Some r -> Alcotest.(check int) ("row " ^ name) r.Analysis.words words
+      | None -> Alcotest.failf "parsed row %s not in alloc_rows" name)
     parsed;
-  Alcotest.(check int) "parser recovered every row"
-    (List.length d.Analysis.a_rows)
+  Alcotest.(check int) "parser recovered every row" (List.length rows)
     (List.length parsed);
   Sys.remove path
+
+(* ---------- the contract: registry and trace agree ---------- *)
+
+let test_registry_matches_trace () =
+  (* Small runs inside a sweep, probe on, trace and registry both live:
+     every sim/exec/core End event ends in its minor_words, and every
+     folding span name has exactly one alloc.spans count per Begin
+     event. The scheduler's round records words but is no frame. *)
+  let evs, snap =
+    with_tel Tel.Memory (fun () ->
+        with_probe (fun () -> ignore (sweep_rows ~jobs:1));
+        (Tel.events (), Tel.Metrics.snapshot ()))
+  in
+  List.iter
+    (fun e ->
+      if e.Tel.ph = Tel.End && List.mem e.Tel.cat [ "sim"; "exec"; "core" ] then
+        match List.rev e.Tel.attrs with
+        | ("minor_words", Tel.Int _) :: _ -> ()
+        | _ -> Alcotest.failf "%s End event lacks a trailing minor_words" e.Tel.name)
+    evs;
+  let begins name =
+    List.length
+      (List.filter (fun e -> e.Tel.ph = Tel.Begin && e.Tel.name = name) evs)
+  in
+  let names =
+    List.sort_uniq String.compare
+      (List.filter_map
+         (fun e ->
+           if e.Tel.ph = Tel.Begin && e.Tel.name <> "round" then Some e.Tel.name
+           else None)
+         evs)
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " spans present") true (List.mem name names))
+    [ "wrapper"; "phase"; "gc"; "sim.run"; "cell"; "sweep" ];
+  List.iter
+    (fun name ->
+      Alcotest.(check (option int))
+        ("alloc.spans/" ^ name ^ " = Begin count")
+        (Some (begins name))
+        (List.assoc_opt ("alloc.spans/" ^ name) snap.Tel.Metrics.counters))
+    names;
+  Alcotest.(check (option int)) "round is not a frame" None
+    (List.assoc_opt "alloc.spans/round" snap.Tel.Metrics.counters)
+
+(* ---------- the contract: probe-off bytes are frozen ---------- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_probe_off_golden () =
+  (* The probe-off logical trace of one small run, byte for byte as the
+     pre-refactor instrumentation wrote it. Found from the dune sandbox
+     (runtest) or from the repo root (dune exec). *)
+  let golden =
+    List.find Sys.file_exists
+      [ "golden/small_run.jsonl"; "test/golden/small_run.jsonl" ]
+  in
+  let path = temp_file ".jsonl" in
+  Tel.install ~wall:true (Tel.Jsonl path);
+  ignore (small_run 11);
+  Tel.shutdown ();
+  let got = Analysis.strip_wall (read_file path) in
+  Sys.remove path;
+  Alcotest.(check string) "stripped trace = golden"
+    (read_file golden) got
 
 let suite =
   [
@@ -215,6 +315,12 @@ let suite =
       test_alloc_counters_merge;
     Alcotest.test_case "self-time: words land under the innermost span" `Quick
       test_alloc_self_time;
+    Alcotest.test_case "abandoned fiber: its frames do not leak" `Quick
+      test_abandoned_frames;
     Alcotest.test_case "alloc report parses its own output" `Quick
       test_alloc_report_roundtrip;
+    Alcotest.test_case "probe on: alloc registry agrees with the trace" `Quick
+      test_registry_matches_trace;
+    Alcotest.test_case "probe off: small-run trace matches the golden" `Quick
+      test_probe_off_golden;
   ]

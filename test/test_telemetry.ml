@@ -109,7 +109,7 @@ let test_jsonl_roundtrip () =
   let o = small_run () in
   Tel.shutdown ();
   let evs = Analysis.load path in
-  let s = Analysis.summarize evs in
+  let s = Analysis.attribute evs in
   Alcotest.(check int) "one run" 1 s.Analysis.runs;
   Alcotest.(check int) "rounds survive the round-trip" o.S.R.rounds
     s.Analysis.total_rounds;
@@ -154,8 +154,8 @@ let test_strip_wall () =
   Alcotest.(check bool) "wall stamps gone after" false (contains "wall_us" stripped);
   let path2 = temp_file ".jsonl" in
   write_file path2 stripped;
-  let a = Analysis.summarize (Analysis.load path) in
-  let b = Analysis.summarize (Analysis.load path2) in
+  let a = Analysis.attribute (Analysis.load path) in
+  let b = Analysis.attribute (Analysis.load path2) in
   Alcotest.(check bool) "stripping preserves the logical stream" true (a = b);
   Sys.remove path;
   Sys.remove path2
