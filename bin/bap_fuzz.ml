@@ -38,14 +38,13 @@ let supervised_campaign ~chaos_seed f =
   | None -> Some (f ())
   | Some seed ->
     let h = Harness.create ~crash_pct:80 ~hang_pct:20 ~faulty_attempts:2 ~seed () in
-    let inject ~key ~attempt =
-      match Harness.decide h ~key ~attempt with
-      | Some Harness.Crash -> Some Supervisor.Inject_crash
-      | Some Harness.Hang -> Some Supervisor.Inject_hang
-      | None -> None
-    in
     let config =
-      { Supervisor.retries = 4; timeout_s = Some 2.0; seed; inject = Some inject }
+      {
+        Supervisor.retries = 4;
+        timeout_s = Some 2.0;
+        seed;
+        inject = Some (Harness.decide h);
+      }
     in
     Supervisor.with_supervisor config (fun sup ->
         match Supervisor.supervise sup ~key:"bap-fuzz/campaign" f with

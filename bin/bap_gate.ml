@@ -1,39 +1,46 @@
 (* CLI: the bench-regression gate.
 
-   Runs a fixed, deterministic smoke sweep over both protocol stacks and
-   the no-prediction baselines — every cell an independent job fanned
-   out over the lib/exec domain pool — and compares the resulting
-   rounds/messages metrics against a committed baseline
-   (BENCH_BASELINE.json):
+   Measures one table of probes and compares each value with a
+   committed baseline (BENCH_BASELINE.json) and, with --history, with
+   the last point of the bench trajectory (BENCH_HISTORY.jsonl), then
+   appends this run's point there:
 
-   - any drift in a correctness-bearing metric (decided round, total
-     rounds, honest messages, agreement) FAILS the gate: the sweep is a
-     pure function of the seeds, so a changed number means changed
-     protocol behaviour, not noise;
-   - wall-clock is machine-dependent, so a >20% regression against the
-     baseline's reference time only WARNS (as a GitHub Actions
-     ::warning:: annotation when running in CI).
+   - wall_ms: a fixed, deterministic smoke sweep over both protocol
+     stacks and the no-prediction baselines — every cell an independent
+     job fanned out over the lib/exec domain pool. Its cells' decided
+     round, total rounds, honest messages and agreement must equal the
+     baseline's exactly: the sweep is a pure function of the seeds, so
+     a changed number means changed protocol behaviour, not noise, and
+     any drift FAILS the gate;
+   - serve_per_sec, scale_n1000_ms, recovery_ms: the serve loop's
+     throughput, one n=1000 wrapper instance, and crash-restart
+     recovery of a journaled server;
+   - alloc_minor_words_per_round: minor words per simulated round of a
+     pinned E1-style slice — exactly reproducible on one machine and
+     one compiler, but legitimately different across OCaml versions.
 
-   The gate also maintains the bench trajectory (BENCH_HISTORY.jsonl):
-   one dated JSON line per run with the sweep wall clock, the serve
-   throughput, the n=1000 scale-probe time, the crash-restart recovery
-   time, and the allocation probe's minor words per round. Drift
-   against the previous trajectory point is warn-only.
+   Every probe value depends on the machine or the compiler, so a value
+   worse than a reference by more than the probe's tolerance only WARNS
+   (as a GitHub Actions ::warning:: annotation when running in CI). A
+   probe whose own oracle fails — a quarantined sweep cell, a served
+   answer that differs from batch recomputation, a recovery that loses
+   instances — fails --check and stops --write.
 
-   Allocation is gated the same warn-only way: a pinned E1-style probe
-   measures domain-local minor words per simulated round — exactly
-   reproducible on one machine and one compiler, but legitimately
-   different across OCaml versions, so a regression annotates instead
-   of failing.
+   --trace-overhead is the telemetry cost gate, and --check-stats reads
+   a sweep's stats written elsewhere; see below.
 
    Usage:
      dune exec bin/bap_gate.exe -- --write             # baseline + trajectory
      dune exec bin/bap_gate.exe -- --check --jobs 2    # CI gate
-     dune exec bin/bap_gate.exe -- --check --history BENCH_HISTORY.jsonl *)
+     dune exec bin/bap_gate.exe -- --check --history BENCH_HISTORY.jsonl
+     dune exec bin/bap_gate.exe -- --trace-overhead --jobs 2 *)
 
 open Cmdliner
 module Pool = Bap_exec.Pool
 module Supervisor = Bap_exec.Supervisor
+module Json = Bap_telemetry.Json
+module Memprobe = Bap_telemetry.Memprobe
+module Tel = Bap_telemetry.Telemetry
 open Bap_experiments.Common
 
 type metrics = {
@@ -146,163 +153,41 @@ let run_sweep ~jobs =
   in
   (metrics, failed, wall_ms)
 
-(* ---------- JSON (hand-rolled: no json dependency in the image) ---------- *)
+(* ---------- the probes ---------- *)
 
-(* The serve probe: a quick in-process run of the service loop with
-   the byte-identity oracle on. Throughput is environment-dependent and
-   therefore warn-only, like the wall-clock reference; an oracle
-   failure is correctness and fails the gate like any drifted cell. *)
-type serve_ref = { s_per_sec : float; s_jobs : int; s_instances : int }
-
-let measure_serve { s_jobs; s_instances; _ } =
+(* The serve loop in-process over pipes, with the byte-identity oracle
+   on: one job, 3000 phase-king instances at n=4. *)
+let measure_serve () =
   let module Server = Bap_servelib.Server in
   let module Load = Bap_servelib.Load in
+  let instances = 3000 in
   let config =
     {
       Server.default_config with
-      Server.jobs = s_jobs;
-      queue_capacity = max 1 s_instances;
+      Server.jobs = 1;
+      queue_capacity = instances;
       batch = 256;
     }
   in
   let o =
-    Load.run_inproc ~config ~instances:s_instances
-      ~families:[ Bap_servelib.Instance.Pk ] ~n:4 ()
+    Load.run_inproc ~config ~instances ~families:[ Bap_servelib.Instance.Pk ] ~n:4 ()
   in
-  (o.Bap_servelib.Load.per_sec, Load.failures o)
+  match Load.failures o with
+  | [] -> Ok o.Load.per_sec
+  | fs -> Error (String.concat "; " fs)
 
-(* The allocation probe: a pinned E1-style slice of the sweep, run
-   inline on the calling domain so Gc.minor_words (via the memprobe's
-   domain-local reader) counts exactly this work and nothing else.
-   Minor words per round is a pure function of the compiled code — the
-   alloc-regression signal ISSUE 10's observatory gates on. *)
-let measure_alloc () =
-  let module Memprobe = Bap_telemetry.Memprobe in
-  let cells =
-    [
-      unauth_cell ~n:25 ~f:4 ~m:0;
-      unauth_cell ~n:25 ~f:4 ~m:2;
-      unauth_cell ~n:31 ~f:10 ~m:0;
-    ]
-  in
-  let words0 = Memprobe.domain_minor_words () in
-  let rounds = List.fold_left (fun acc cell -> acc + (cell ()).rounds) 0 cells in
-  let words = Memprobe.domain_minor_words () -. words0 in
-  if rounds <= 0 then begin
-    Printf.printf "FAILED: alloc probe simulated 0 rounds\n";
-    exit 1
-  end;
-  words /. float_of_int rounds
+let measure_scale () =
+  let r = Scale_probe.run ~n:1000 ~f:0 () in
+  if r.Scale_probe.agreement && r.Scale_probe.decided then Ok r.Scale_probe.wall_ms
+  else
+    Error
+      (Printf.sprintf "n=1000 agreement=%b decided=%b" r.Scale_probe.agreement
+         r.Scale_probe.decided)
 
-let json_of ~metrics ~wall_ms ~serve ~alloc =
-  let cell m =
-    Printf.sprintf
-      "    {\"id\": %S, \"decided\": %d, \"rounds\": %d, \"msgs\": %d, \"ok\": %b}"
-      m.id m.decided m.rounds m.msgs m.ok
-  in
-  let serve_field =
-    match serve with
-    | None -> ""
-    | Some s ->
-      Printf.sprintf
-        ",\n  \"serve\": {\"instances_per_sec\": %.0f, \"jobs\": %d, \
-         \"instances\": %d, \"families\": \"pk\", \"n\": 4}"
-        s.s_per_sec s.s_jobs s.s_instances
-  in
-  let alloc_field =
-    match alloc with
-    | None -> ""
-    | Some w -> Printf.sprintf ",\n  \"alloc_minor_words_per_round\": %.1f" w
-  in
-  Printf.sprintf
-    "{\n  \"version\": 1,\n  \"wall_ms\": %.1f%s%s,\n  \"cells\": [\n%s\n  ]\n}\n"
-    wall_ms serve_field alloc_field
-    (String.concat ",\n" (List.map cell metrics))
-
-(* JSON parsing lives in lib/telemetry (shared with the trace sinks and
-   bap_trace); this alias keeps the call sites below unchanged. *)
-module Json = Bap_telemetry.Json
-
-let parse_baseline text =
-  let open Json in
-  let j = parse text in
-  let wall_ms = to_float (member "wall_ms" j) in
-  let cells =
-    match to_list (member "cells" j) with
-    | None -> invalid_arg "baseline: missing cells"
-    | Some cs ->
-      List.map
-        (fun c ->
-          match
-            ( to_string (member "id" c),
-              to_int (member "decided" c),
-              to_int (member "rounds" c),
-              to_int (member "msgs" c),
-              to_bool (member "ok" c) )
-          with
-          | Some id, Some decided, Some rounds, Some msgs, Some ok ->
-            { id; decided; rounds; msgs; ok }
-          | _ -> invalid_arg "baseline: malformed cell")
-        cs
-  in
-  let serve =
-    match member "serve" j with
-    | None -> None
-    | Some s ->
-      (match
-         ( to_float (member "instances_per_sec" s),
-           to_int (member "jobs" s),
-           to_int (member "instances" s) )
-       with
-      | Some s_per_sec, Some s_jobs, Some s_instances ->
-        Some { s_per_sec; s_jobs; s_instances }
-      | _ -> invalid_arg "baseline: malformed serve reference")
-  in
-  (* Absent in baselines from before the allocation observatory; None
-     simply skips the alloc drift warning. *)
-  let alloc = to_float (member "alloc_minor_words_per_round" j) in
-  (cells, wall_ms, serve, alloc)
-
-(* ---------- the gate ---------- *)
-
-let in_ci () = Sys.getenv_opt "GITHUB_ACTIONS" = Some "true"
-
-let warn fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if in_ci () then Printf.printf "::warning title=bench-regression::%s\n" msg
-      else Printf.printf "WARNING: %s\n" msg)
-    fmt
-
-(* ---------- the bench trajectory (BENCH_HISTORY.jsonl) ---------- *)
-
-(* One dated line per gate run: the probe-sweep wall clock, the serve
-   throughput, and the n=1000 scale-probe time. All three are
-   machine-dependent, so the trajectory is warn-only — the point is a
-   recorded curve over commits, not a pass/fail bar. *)
-type history_entry = {
-  h_date : string;
-  h_wall_ms : float;
-  h_serve_per_sec : float;
-  h_scale_n1000_ms : float;
-  h_recovery_ms : float;
-      (* crash-restart recovery probe; 0.0 in entries from before the
-         instance journal existed *)
-  h_alloc_words_per_round : float;
-      (* allocation probe; 0.0 in entries from before the allocation
-         observatory existed *)
-}
-
-let today () =
-  let tm = Unix.gmtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-    tm.Unix.tm_mday
-
-(* The recovery probe: craft an instance journal holding accepted-but-
-   unanswered instances, then time a --resume server recovering them
-   over an immediately-EOF stream — the restart-to-ready cost of a
-   SIGKILLed service, isolated from any client traffic. Recovery that
-   loses or invents instances is correctness and fails the gate. *)
+(* Craft an instance journal holding accepted-but-unanswered instances,
+   then time a --resume server recovering them over an immediately-EOF
+   stream: the restart-to-ready cost of a SIGKILLed service, isolated
+   from any client traffic. *)
 let measure_recovery () =
   let module Server = Bap_servelib.Server in
   let module SJournal = Bap_servelib.Journal in
@@ -333,291 +218,286 @@ let measure_recovery () =
     [ null_r; out_r; out_w ];
   (try Sys.remove path with Sys_error _ -> ());
   if
-    stats.Server.recovered <> k
-    || stats.Server.accepted <> k
-    || stats.Server.responded <> k
-  then begin
-    Printf.printf
-      "FAILED: recovery probe recovered %d / accepted %d / responded %d of %d \
-       journaled instance(s)\n"
-      stats.Server.recovered stats.Server.accepted stats.Server.responded k;
-    exit 1
-  end;
-  ms
+    stats.Server.recovered = k
+    && stats.Server.accepted = k
+    && stats.Server.responded = k
+  then Ok ms
+  else
+    Error
+      (Printf.sprintf
+         "recovered %d / accepted %d / responded %d of %d journaled instance(s)"
+         stats.Server.recovered stats.Server.accepted stats.Server.responded k)
 
-let measure_scale () =
-  let r = Scale_probe.run ~n:1000 ~f:0 () in
-  if not (r.Scale_probe.agreement && r.Scale_probe.decided) then begin
-    Printf.printf "FAILED: scale probe n=1000 (agreement=%b decided=%b)\n"
-      r.Scale_probe.agreement r.Scale_probe.decided;
-    exit 1
-  end;
-  r.Scale_probe.wall_ms
+(* A pinned E1-style slice of the sweep, run inline on the calling
+   domain so the memprobe's domain-local reader counts exactly this
+   work and nothing else. *)
+let measure_alloc () =
+  let cells =
+    [
+      unauth_cell ~n:25 ~f:4 ~m:0;
+      unauth_cell ~n:25 ~f:4 ~m:2;
+      unauth_cell ~n:31 ~f:10 ~m:0;
+    ]
+  in
+  let words0 = Memprobe.domain_minor_words () in
+  let rounds = List.fold_left (fun acc cell -> acc + (cell ()).rounds) 0 cells in
+  let words = Memprobe.domain_minor_words () -. words0 in
+  if rounds > 0 then Ok (words /. float_of_int rounds)
+  else Error "simulated 0 rounds"
 
-let last_history_entry path =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in_bin path in
-    let last =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let last = ref None in
-          (try
-             while true do
-               let line = input_line ic in
-               if String.trim line <> "" then last := Some line
-             done
-           with End_of_file -> ());
-          !last)
-    in
-    match last with
-    | None -> None
-    | Some line -> (
-      let open Json in
-      match parse line with
-      | exception Parse _ -> None
-      | j -> (
-        match
-          ( to_string (member "date" j),
-            to_float (member "wall_ms" j),
-            to_float (member "serve_per_sec" j),
-            to_float (member "scale_n1000_ms" j) )
-        with
-        | Some h_date, Some h_wall_ms, Some h_serve_per_sec, Some h_scale_n1000_ms
-          ->
-          (* recovery_ms arrived with the instance journal and the alloc
-             probe with the allocation observatory; entries from before
-             either default to 0 (which disables that drift warning). *)
-          let h_recovery_ms =
-            Option.value ~default:0. (to_float (member "recovery_ms" j))
-          in
-          let h_alloc_words_per_round =
-            Option.value ~default:0.
-              (to_float (member "alloc_minor_words_per_round" j))
-          in
-          Some
-            {
-              h_date;
-              h_wall_ms;
-              h_serve_per_sec;
-              h_scale_n1000_ms;
-              h_recovery_ms;
-              h_alloc_words_per_round;
-            }
-        | _ -> None))
-  end
+type probe = {
+  key : string;  (** its field in the baseline and in each trajectory point *)
+  lower_is_better : bool;
+  tolerance : float;  (** a value worse than a reference by more warns *)
+  measure : unit -> (float, string) result;  (** [Error]: its oracle failed *)
+}
 
-let append_history ~path e =
-  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc
-        (Printf.sprintf
-           "{\"date\": %S, \"wall_ms\": %.1f, \"serve_per_sec\": %.0f, \
-            \"scale_n1000_ms\": %.1f, \"recovery_ms\": %.1f, \
-            \"alloc_minor_words_per_round\": %.1f}\n"
-           e.h_date e.h_wall_ms e.h_serve_per_sec e.h_scale_n1000_ms
-           e.h_recovery_ms e.h_alloc_words_per_round))
+(* The probe table, in trajectory-point field order. The wall_ms probe
+   hands the exact cells of its sweep to [cells]. *)
+let probes ~jobs ~cells =
+  let probe ?(lower_is_better = true) key tolerance measure =
+    { key; lower_is_better; tolerance; measure }
+  in
+  [
+    probe "wall_ms" 0.2 (fun () ->
+        let metrics, failed, wall_ms = run_sweep ~jobs in
+        cells := metrics;
+        if failed = [] then Ok wall_ms else Error (String.concat "; " failed));
+    probe ~lower_is_better:false "serve_per_sec" 0.2 measure_serve;
+    probe "scale_n1000_ms" 0.2 measure_scale;
+    probe "recovery_ms" 0.5 measure_recovery;
+    probe "alloc_minor_words_per_round" 0.1 measure_alloc;
+  ]
 
-(* Measure the scale probe, warn against the previous trajectory point,
-   and append the new one. *)
-let record_history ~path ~wall_ms ~serve_per_sec ~alloc_words_per_round =
-  let scale_ms = measure_scale () in
-  let recovery_ms = measure_recovery () in
-  (match last_history_entry path with
-  | None ->
-    (* Satellite of ISSUE 10: an empty or missing trajectory is a seed,
-       not an error — say so instead of silently skipping the drift
-       checks. *)
+(* Every probe's result, and the cells of the wall_ms sweep. *)
+let measure_all ~jobs =
+  let cells = ref [] in
+  let results = List.map (fun p -> (p, p.measure ())) (probes ~jobs ~cells) in
+  (results, !cells)
+
+(* ---------- references and the report ---------- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let in_ci () = Sys.getenv_opt "GITHUB_ACTIONS" = Some "true"
+
+let warn fmt =
+  Printf.ksprintf
+    (fun msg ->
+      if in_ci () then Printf.printf "::warning title=bench-regression::%s\n" msg
+      else Printf.printf "WARNING: %s\n" msg)
+    fmt
+
+(* Print each probe's value beside every labelled reference that
+   carries its key, warn where the value is worse than one by more than
+   the tolerance, and return the probes whose oracle failed. A missing
+   or zero field (trajectory points older than the probe) means no
+   reference. *)
+let report ~refs results =
+  List.filter_map
+    (fun (p, result) ->
+      match result with
+      | Error msg -> Some (Printf.sprintf "%s: %s" p.key msg)
+      | Ok value ->
+        let known =
+          List.filter_map
+            (fun (label, j) ->
+              match Json.to_float (Json.member p.key j) with
+              | Some r when r > 0. -> Some (label, r)
+              | _ -> None)
+            refs
+        in
+        let shown =
+          String.concat "; "
+            (List.map (fun (label, r) -> Printf.sprintf "%s %.1f" label r) known)
+        in
+        Printf.printf "bap_gate: %s %.1f%s\n" p.key value
+          (if known = [] then "" else " (" ^ shown ^ ")");
+        List.iter
+          (fun (label, r) ->
+            let ratio = value /. r in
+            if p.lower_is_better && ratio > 1. +. p.tolerance then
+              warn "%s %.1f is %.0f%% over %s %.1f" p.key value
+                ((ratio -. 1.) *. 100.) label r
+            else if (not p.lower_is_better) && ratio < 1. -. p.tolerance then
+              warn "%s %.1f is %.0f%% under %s %.1f" p.key value
+                ((1. -. ratio) *. 100.) label r)
+          known;
+        None)
+    results
+
+let scalar (key, value) = Printf.sprintf "%S: %.1f" key value
+
+let values results =
+  List.filter_map
+    (fun (p, r) -> Option.map (fun v -> (p.key, v)) (Result.to_option r))
+    results
+
+(* ---------- the bench trajectory (BENCH_HISTORY.jsonl) ---------- *)
+
+let today () =
+  let tm = Unix.gmtime (Unix.time ()) in
+  Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
+    tm.Unix.tm_mday
+
+(* The last point of the trajectory as a labelled reference; an empty
+   or missing trajectory is a seed, not an error. *)
+let last_point path =
+  let lines =
+    if Sys.file_exists path then
+      List.filter
+        (fun l -> String.trim l <> "")
+        (String.split_on_char '\n' (read_file path))
+    else []
+  in
+  match List.rev lines with
+  | line :: _ -> (
+    match Json.parse line with
+    | j ->
+      let date = Option.value ~default:"?" (Json.to_string (Json.member "date" j)) in
+      [ ("last point " ^ date, j) ]
+    | exception Json.Parse _ -> [])
+  | [] ->
     Printf.printf
       "bap_gate: no prior trajectory point in %s; seeding the first one \
        (drift warnings begin with the next run)\n"
-      path
-  | Some prev ->
-    if wall_ms > 1.2 *. prev.h_wall_ms then
-      warn "gate sweep %.0f ms is %.0f%% over the last trajectory point (%s: %.0f ms)"
-        wall_ms
-        ((wall_ms /. prev.h_wall_ms -. 1.) *. 100.)
-        prev.h_date prev.h_wall_ms;
-    if prev.h_serve_per_sec > 0. && serve_per_sec < 0.8 *. prev.h_serve_per_sec
-    then
-      warn "serve %.0f/s is %.0f%% under the last trajectory point (%s: %.0f/s)"
-        serve_per_sec
-        ((1. -. (serve_per_sec /. prev.h_serve_per_sec)) *. 100.)
-        prev.h_date prev.h_serve_per_sec;
-    if scale_ms > 1.2 *. prev.h_scale_n1000_ms then
-      warn
-        "scale probe (n=1000) %.0f ms is %.0f%% over the last trajectory point \
-         (%s: %.0f ms)"
-        scale_ms
-        ((scale_ms /. prev.h_scale_n1000_ms -. 1.) *. 100.)
-        prev.h_date prev.h_scale_n1000_ms;
-    if prev.h_recovery_ms > 0. && recovery_ms > 1.5 *. prev.h_recovery_ms then
-      warn
-        "crash-restart recovery %.0f ms is %.0f%% over the last trajectory \
-         point (%s: %.0f ms)"
-        recovery_ms
-        ((recovery_ms /. prev.h_recovery_ms -. 1.) *. 100.)
-        prev.h_date prev.h_recovery_ms;
-    if
-      prev.h_alloc_words_per_round > 0.
-      && alloc_words_per_round > 1.1 *. prev.h_alloc_words_per_round
-    then
-      warn
-        "alloc probe %.0f minor words/round is %.0f%% over the last \
-         trajectory point (%s: %.0f)"
-        alloc_words_per_round
-        ((alloc_words_per_round /. prev.h_alloc_words_per_round -. 1.) *. 100.)
-        prev.h_date prev.h_alloc_words_per_round);
-  append_history ~path
-    {
-      h_date = today ();
-      h_wall_ms = wall_ms;
-      h_serve_per_sec = serve_per_sec;
-      h_scale_n1000_ms = scale_ms;
-      h_recovery_ms = recovery_ms;
-      h_alloc_words_per_round = alloc_words_per_round;
-    };
-  Printf.printf
-    "bap_gate: appended trajectory point to %s (scale n=1000: %.0f ms, \
-     recovery: %.0f ms, alloc: %.0f words/round)\n"
-    path scale_ms recovery_ms alloc_words_per_round
+      path;
+    []
+
+let append_point ~path values =
+  Out_channel.with_open_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path
+    (fun oc ->
+      Printf.fprintf oc "{\"date\": %S, %s}\n" (today ())
+        (String.concat ", " (List.map scalar values)));
+  Printf.printf "bap_gate: appended trajectory point to %s\n" path
+
+(* ---------- the gate ---------- *)
+
+let cells_of j =
+  match Json.to_list (Json.member "cells" j) with
+  | None -> invalid_arg "baseline: missing cells"
+  | Some cs ->
+    List.map
+      (fun c ->
+        match
+          ( Json.to_string (Json.member "id" c),
+            Json.to_int (Json.member "decided" c),
+            Json.to_int (Json.member "rounds" c),
+            Json.to_int (Json.member "msgs" c),
+            Json.to_bool (Json.member "ok" c) )
+        with
+        | Some id, Some decided, Some rounds, Some msgs, Some ok ->
+          { id; decided; rounds; msgs; ok }
+        | _ -> invalid_arg "baseline: malformed cell")
+      cs
+
+let cell_drift ~expected actual =
+  let key m = (m.decided, m.rounds, m.msgs, m.ok) in
+  List.filter_map
+    (fun e ->
+      match List.find_opt (fun a -> a.id = e.id) actual with
+      | None -> Some (Printf.sprintf "cell %s: missing from sweep" e.id)
+      | Some a when key a <> key e ->
+        Some
+          (Printf.sprintf
+             "cell %s: (decided,rounds,msgs,ok) = (%d,%d,%d,%b), baseline (%d,%d,%d,%b)"
+             e.id a.decided a.rounds a.msgs a.ok e.decided e.rounds e.msgs e.ok)
+      | Some _ -> None)
+    expected
+  @ List.filter_map
+      (fun a ->
+        if List.exists (fun e -> e.id = a.id) expected then None
+        else Some (Printf.sprintf "cell %s: not in baseline (run --write?)" a.id))
+      actual
 
 let check ~baseline_file ~history ~jobs =
-  let text =
-    let ic = open_in_bin baseline_file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let expected, base_wall, serve_ref, base_alloc = parse_baseline text in
-  let actual, failed, wall_ms = run_sweep ~jobs in
-  if failed <> [] then begin
-    List.iter (fun msg -> Printf.printf "QUARANTINED %s\n" msg) failed;
-    Printf.printf "FAILED: %d probe cell(s) died despite retry\n"
-      (List.length failed)
-  end;
-  let drift = ref [] in
-  let index = List.map (fun m -> (m.id, m)) actual in
-  List.iter
-    (fun e ->
-      match List.assoc_opt e.id index with
-      | None -> drift := Printf.sprintf "cell %s: missing from sweep" e.id :: !drift
-      | Some a ->
-        if (a.decided, a.rounds, a.msgs, a.ok) <> (e.decided, e.rounds, e.msgs, e.ok)
-        then
-          drift :=
-            Printf.sprintf
-              "cell %s: (decided,rounds,msgs,ok) = (%d,%d,%d,%b), baseline (%d,%d,%d,%b)"
-              e.id a.decided a.rounds a.msgs a.ok e.decided e.rounds e.msgs e.ok
-            :: !drift)
-    expected;
-  List.iter
-    (fun a ->
-      if not (List.exists (fun e -> e.id = a.id) expected) then
-        drift := Printf.sprintf "cell %s: not in baseline (run --write?)" a.id :: !drift)
-    actual;
-  Printf.printf "bap_gate: %d cells in %.0f ms (--jobs %d), baseline %s\n"
-    (List.length actual) wall_ms jobs baseline_file;
-  (match base_wall with
-  | Some base when wall_ms > 1.2 *. base ->
-    warn "wall-clock %.0f ms is %.0f%% over the baseline's %.0f ms reference" wall_ms
-      ((wall_ms /. base -. 1.) *. 100.)
-      base
-  | _ -> ());
-  let serve_measured = ref None in
-  (match serve_ref with
-  | None -> ()
-  | Some r ->
-    let per_sec, oracle_failures = measure_serve r in
-    serve_measured := Some per_sec;
-    Printf.printf
-      "bap_gate: serve %.0f instances/sec (--jobs %d, baseline %.0f)\n" per_sec
-      r.s_jobs r.s_per_sec;
-    List.iter
-      (fun f -> drift := Printf.sprintf "serve oracle: %s" f :: !drift)
-      oracle_failures;
-    if per_sec < 0.8 *. r.s_per_sec then
-      warn "serve throughput %.0f/s is %.0f%% under the baseline's %.0f/s"
-        per_sec
-        ((1. -. (per_sec /. r.s_per_sec)) *. 100.)
-        r.s_per_sec);
-  let alloc_words = measure_alloc () in
-  (match base_alloc with
-  | None ->
-    Printf.printf
-      "bap_gate: alloc probe %.0f minor words/round (no baseline yet — run \
-       --write to record one)\n"
-      alloc_words
-  | Some base ->
-    Printf.printf "bap_gate: alloc probe %.0f minor words/round (baseline %.0f)\n"
-      alloc_words base;
-    if base > 0. && alloc_words > 1.1 *. base then
-      warn
-        "alloc probe %.0f minor words/round is %.0f%% over the baseline's %.0f"
-        alloc_words
-        ((alloc_words /. base -. 1.) *. 100.)
-        base);
-  (match history with
-  | None -> ()
-  | Some path ->
-    let per_sec =
-      match !serve_measured with
-      | Some p -> p
-      | None -> fst (measure_serve { s_per_sec = 0.; s_jobs = 1; s_instances = 3000 })
-    in
-    record_history ~path ~wall_ms ~serve_per_sec:per_sec
-      ~alloc_words_per_round:alloc_words);
-  match (List.rev !drift, failed) with
-  | [], [] ->
+  let base = Json.parse (read_file baseline_file) in
+  let expected = cells_of base in
+  let trajectory = Option.fold ~none:[] ~some:last_point history in
+  let results, cells = measure_all ~jobs in
+  Printf.printf "bap_gate: %d cells (--jobs %d), baseline %s\n" (List.length cells)
+    jobs baseline_file;
+  let failed = report ~refs:(("baseline", base) :: trajectory) results in
+  if failed = [] then
+    Option.iter (fun path -> append_point ~path (values results)) history;
+  let drift = cell_drift ~expected cells in
+  List.iter (Printf.printf "DRIFT %s\n") drift;
+  List.iter (Printf.printf "FAILED %s\n") failed;
+  if drift <> [] then
+    Printf.printf "FAILED: %d cell(s) drifted from %s\n" (List.length drift)
+      baseline_file;
+  if drift = [] && failed = [] then begin
     Printf.printf "ok: all %d correctness metrics match the baseline\n"
       (List.length expected);
     0
-  | ds, _ ->
-    List.iter (fun d -> Printf.printf "DRIFT %s\n" d) ds;
-    if ds <> [] then
-      Printf.printf "FAILED: %d cell(s) drifted from %s\n" (List.length ds)
-        baseline_file;
-    1
+  end
+  else 1
 
+(* --write always extends the trajectory: a fresh baseline is exactly
+   the moment a new point belongs on the curve. *)
 let write ~baseline_file ~history ~jobs =
-  let metrics, failed, wall_ms = run_sweep ~jobs in
-  if failed <> [] then begin
-    List.iter (fun msg -> Printf.printf "QUARANTINED %s\n" msg) failed;
-    Printf.printf "refusing to write a baseline from a degraded sweep\n";
-    exit 1
-  end;
-  let serve =
-    let r = { s_per_sec = 0.; s_jobs = 1; s_instances = 3000 } in
-    let per_sec, oracle_failures = measure_serve r in
-    if oracle_failures <> [] then begin
-      List.iter (fun f -> Printf.printf "serve oracle: %s\n" f) oracle_failures;
-      Printf.printf "refusing to write a baseline from a failing serve loop\n";
-      exit 1
-    end;
-    Some { r with s_per_sec = per_sec }
-  in
-  let alloc_words = measure_alloc () in
-  let oc = open_out_bin baseline_file in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (json_of ~metrics ~wall_ms ~serve ~alloc:(Some alloc_words)));
-  Printf.printf
-    "bap_gate: wrote %d cells to %s (%.0f ms, serve %.0f/s, alloc %.0f \
-     words/round)\n"
-    (List.length metrics) baseline_file wall_ms
-    (match serve with Some s -> s.s_per_sec | None -> 0.)
-    alloc_words;
-  (* --write always extends the trajectory: a fresh baseline is exactly
-     the moment a new point belongs on the curve. *)
   let path = Option.value history ~default:"BENCH_HISTORY.jsonl" in
-  record_history ~path ~wall_ms
-    ~serve_per_sec:(match serve with Some s -> s.s_per_sec | None -> 0.)
-    ~alloc_words_per_round:alloc_words;
-  0
+  let trajectory = last_point path in
+  let results, cells = measure_all ~jobs in
+  match report ~refs:trajectory results with
+  | _ :: _ as failed ->
+    List.iter (Printf.printf "FAILED %s\n") failed;
+    Printf.printf "refusing to write a baseline while a probe's oracle fails\n";
+    1
+  | [] ->
+    let cell m =
+      Printf.sprintf
+        "    {\"id\": %S, \"decided\": %d, \"rounds\": %d, \"msgs\": %d, \"ok\": %b}"
+        m.id m.decided m.rounds m.msgs m.ok
+    in
+    Out_channel.with_open_bin baseline_file (fun oc ->
+        Printf.fprintf oc "{\n  \"version\": 2,\n%s  \"cells\": [\n%s\n  ]\n}\n"
+          (String.concat ""
+             (List.map (fun v -> "  " ^ scalar v ^ ",\n") (values results)))
+          (String.concat ",\n" (List.map cell cells)));
+    Printf.printf "bap_gate: wrote %d cells to %s\n" (List.length cells) baseline_file;
+    append_point ~path (values results);
+    0
+
+(* ---------- the tracing-overhead gate ---------- *)
+
+(* The telemetry spine must cost < 5% wall-clock when recording a full
+   JSONL trace of the quick sweep, with and without the allocation
+   probe. min-of-3 on each side filters scheduler noise; every side is
+   a fresh uncached sweep so cache state cannot tilt the comparison. *)
+let trace_overhead ~jobs =
+  let trace_path = Filename.temp_file "bap_overhead" ".jsonl" in
+  let sweep () =
+    Pool.with_pool ~jobs (fun pool ->
+        Bap_experiments.Runner.run_all ~quick:true ~pool ~render:false ())
+  in
+  let min_of_3 f =
+    List.init 3 (fun _ -> (f ()).Bap_exec.Engine.wall)
+    |> List.fold_left Float.min infinity
+  in
+  let off = min_of_3 sweep in
+  let over_budget (label, alloc) =
+    let on_ =
+      min_of_3 (fun () ->
+          Tel.install ~wall:true (Tel.Jsonl trace_path);
+          if alloc then Memprobe.enable ();
+          Fun.protect
+            ~finally:(fun () ->
+              if alloc then Memprobe.disable ();
+              Tel.shutdown ())
+            sweep)
+    in
+    let overhead = (on_ -. off) /. Float.max 1e-9 off in
+    Printf.printf "%s overhead: off %.2fs  on %.2fs  overhead %+.1f%% (budget 5%%)\n"
+      label off on_ (100. *. overhead);
+    overhead > 0.05
+  in
+  let over = List.filter over_budget [ ("trace", false); ("trace+alloc", true) ] in
+  (try Sys.remove trace_path with Sys_error _ -> ());
+  List.iter
+    (fun (label, _) -> Printf.printf "FAILED: %s overhead above budget\n" label)
+    over;
+  if over = [] then 0 else 1
 
 (* ---------- the stats gate ---------- *)
 
@@ -625,14 +505,8 @@ let write ~baseline_file ~history ~jobs =
    exit discipline: 4 when the sweep was DEGRADED (quarantined cells),
    0 when clean. Lets CI gate on a sweep that ran elsewhere. *)
 let check_stats ~stats_file =
-  let text =
-    let ic = open_in_bin stats_file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
   let open Json in
-  match parse text with
+  match parse (read_file stats_file) with
   | exception Parse msg ->
     Printf.printf "bap_gate: %s: unparseable stats: %s\n" stats_file msg;
     1
@@ -667,6 +541,7 @@ let run mode baseline_file history jobs stats_file =
   | Some stats_file, _ -> check_stats ~stats_file
   | None, `Write -> write ~baseline_file ~history ~jobs
   | None, `Check -> check ~baseline_file ~history ~jobs
+  | None, `Trace_overhead -> trace_overhead ~jobs
 
 let cmd =
   let mode =
@@ -674,8 +549,16 @@ let cmd =
       value
       & vflag `Check
           [
-            (`Check, info [ "check" ] ~doc:"Compare the sweep against the baseline (default).");
-            (`Write, info [ "write" ] ~doc:"Regenerate the baseline file from this machine.");
+            ( `Check,
+              info [ "check" ]
+                ~doc:"Compare every probe against the baseline (default)." );
+            ( `Write,
+              info [ "write" ] ~doc:"Regenerate the baseline file from this machine." );
+            ( `Trace_overhead,
+              info [ "trace-overhead" ]
+                ~doc:
+                  "Fail if tracing a fresh quick sweep, with or without the \
+                   allocation probe, costs more than 5% wall-clock." );
           ])
   in
   let baseline =
@@ -712,7 +595,7 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "bap_gate"
-       ~doc:"Bench-regression gate: deterministic smoke sweep vs committed baseline")
+       ~doc:"Bench-regression gate: a table of probes vs the committed baseline")
     Term.(const run $ mode $ baseline $ history $ jobs $ stats_file)
 
 let () = exit (Cmd.eval' cmd)

@@ -108,21 +108,12 @@ let run full only jobs no_cache cache_dir retries timeout journal_path no_journa
           signal_name (Journal.entries j) (Journal.path j) (resume_command ())
       | None -> Fmt.epr "@.[%s] no journal in play; nothing to resume@." signal_name)
     ();
-  let inject =
-    Option.map
-      (fun h ~key ~attempt ->
-        match Harness.decide h ~key ~attempt with
-        | Some Harness.Crash -> Some Supervisor.Inject_crash
-        | Some Harness.Hang -> Some Supervisor.Inject_hang
-        | None -> None)
-      chaos
-  in
   let config =
     {
       Supervisor.retries;
       timeout_s = timeout;
       seed = (match chaos_seed with Some s -> s | None -> 0);
-      inject;
+      inject = Option.map Harness.decide chaos;
     }
   in
   let final_stats = ref None in

@@ -11,8 +11,6 @@
    (off by default) fault on every attempt — they exercise the
    quarantine / DEGRADED path. *)
 
-type fault = Crash | Hang
-
 type frame_fault =
   | Corrupt_payload
   | Disconnect_mid_frame
@@ -74,13 +72,13 @@ let roll t ~salt ~key = djb2 (Printf.sprintf "%d|%s|%s" t.seed salt key) mod 100
 
 let doomed t ~key = roll t ~salt:"doom" ~key < t.doomed_pct
 
-let decide t ~key ~attempt =
-  if doomed t ~key then Some Crash
+let decide t ~key ~attempt : Bap_exec.Supervisor.injected option =
+  if doomed t ~key then Some Inject_crash
   else if attempt >= t.faulty_attempts then None
   else
     let r = roll t ~salt:(string_of_int attempt) ~key in
-    if r < t.crash_pct then Some Crash
-    else if r < t.crash_pct + t.hang_pct then Some Hang
+    if r < t.crash_pct then Some Inject_crash
+    else if r < t.crash_pct + t.hang_pct then Some Inject_hang
     else None
 
 (* Frame-level chaos for the serve load generator. The decision is

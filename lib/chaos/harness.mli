@@ -5,12 +5,7 @@
     worker crashes, artificial hangs, and cache-shard corruption, all
     derived purely from (seed, cell key, attempt). Same seed, same
     faults — at any [--jobs] level — so tests can assert the supervisor
-    recovers a fault-injected sweep to byte-identical output.
-
-    No dependency on [lib/exec]: the sweep binaries adapt {!fault} to
-    [Supervisor.injected]. *)
-
-type fault = Crash | Hang
+    recovers a fault-injected sweep to byte-identical output. *)
 
 type frame_fault =
   | Corrupt_payload  (** flip one payload byte before it hits the wire *)
@@ -48,9 +43,11 @@ val create :
     [frame_corrupt_pct + disconnect_pct + respond_disconnect_pct
     > 100]. *)
 
-val decide : t -> key:string -> attempt:int -> fault option
-(** The fault (if any) to inject into this attempt of this cell. Pure:
-    depends only on the schedule and its arguments. *)
+val decide :
+  t -> key:string -> attempt:int -> Bap_exec.Supervisor.injected option
+(** The fault (if any) to inject into this attempt of this cell — the
+    supervisor's [inject] hook as-is. Pure: depends only on the
+    schedule and its arguments. *)
 
 val doomed : t -> key:string -> bool
 (** Whether this cell faults on every attempt under this schedule. *)

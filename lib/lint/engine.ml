@@ -4,7 +4,7 @@
    unspecified, and a linter that cares about Hashtbl orderings had
    better not depend on readdir's). *)
 
-let scanned_roots = [ "lib"; "bin"; "test"; "bench" ]
+let scanned_roots = [ "lib"; "bin"; "test" ]
 
 let rec walk_dir acc dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then acc

@@ -31,10 +31,10 @@ let supervisor_home = "lib/exec/supervisor.ml"
    trace events — everything logical stays seq-numbered), the serve
    layer (admission stamps, watchdog deadlines, latency quantiles — a
    service's observable behaviour is wall-clock by nature), and the
-   CLIs/benches that report them. *)
+   CLIs that report them. *)
 let clock_allowed path =
   in_dir "lib/exec" path || in_dir "lib/telemetry" path
-  || in_dir "lib/serve" path || in_dir "bin" path || in_dir "bench" path
+  || in_dir "lib/serve" path || in_dir "bin" path
 
 (* D002's GC leg: GC counter reads are the allocation observatory's
    business, and only lib/telemetry (the Memprobe) may perform them.

@@ -255,16 +255,10 @@ let test_end_to_end_chaos () =
     Harness.create ~seed:5 ~crash_pct:10 ~hang_pct:2 ~doomed_pct:4
       ~frame_corrupt_pct:10 ()
   in
-  let inject ~key ~attempt =
-    match Harness.decide chaos ~key ~attempt with
-    | Some Harness.Crash -> Some Supervisor.Inject_crash
-    | Some Harness.Hang -> Some Supervisor.Inject_hang
-    | None -> None
-  in
   let config =
     {
       (quiet_config ~jobs:2) with
-      Server.inject = Some inject;
+      Server.inject = Some (Harness.decide chaos);
       timeout_s = Some 0.25;
     }
   in

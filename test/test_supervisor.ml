@@ -44,14 +44,8 @@ let collect ?cache ?journal ?supervisor ~jobs () =
   in
   (!rows, stats)
 
-let chaos_inject h ~key ~attempt =
-  match Harness.decide h ~key ~attempt with
-  | Some Harness.Crash -> Some Supervisor.Inject_crash
-  | Some Harness.Hang -> Some Supervisor.Inject_hang
-  | None -> None
-
 let chaos_config ?(retries = 3) ?(timeout_s = Some 0.05) ?(seed = 7) h =
-  { Supervisor.retries; timeout_s; seed; inject = Some (chaos_inject h) }
+  { Supervisor.retries; timeout_s; seed; inject = Some (Harness.decide h) }
 
 (* (a) Determinism under injected faults: jobs=1 equals jobs=8 equals
    the fault-free run, because the default schedule only faults the
