@@ -464,12 +464,12 @@ let write ~baseline_file ~history ~jobs =
 (* The telemetry spine must cost < 5% wall-clock when recording a full
    JSONL trace of the quick sweep, with and without the allocation
    probe. min-of-3 on each side filters scheduler noise; every side is
-   a fresh uncached sweep so cache state cannot tilt the comparison. *)
+   a fresh unjournaled sweep, so every cell runs on every side. *)
 let trace_overhead ~jobs =
   let trace_path = Filename.temp_file "bap_overhead" ".jsonl" in
   let sweep () =
     Pool.with_pool ~jobs (fun pool ->
-        Bap_experiments.Runner.run_all ~quick:true ~pool ~render:false ())
+        Bap_experiments.Runner.run ~quick:true ~pool ~render:false ())
   in
   let min_of_3 f =
     List.init 3 (fun _ -> (f ()).Bap_exec.Engine.wall)
@@ -514,10 +514,10 @@ let check_stats ~stats_file =
     let field k = Option.value ~default:0 (to_int (member k j)) in
     let quarantined = Option.value ~default:[] (to_list (member "quarantined" j)) in
     Printf.printf
-      "bap_gate: stats %s: %d cells (%d executed, %d cache hits, %d journal \
-       hits) on %d job(s), %d retried\n"
-      stats_file (field "total_cells") (field "executed") (field "cache_hits")
-      (field "journal_hits") (field "jobs") (field "retried");
+      "bap_gate: stats %s: %d cells (%d executed, %d journal hits) on %d \
+       job(s), %d retried\n"
+      stats_file (field "total_cells") (field "executed") (field "journal_hits")
+      (field "jobs") (field "retried");
     if quarantined = [] then begin
       Printf.printf "ok: sweep clean\n";
       0

@@ -49,7 +49,7 @@ let run socket jobs queue batch retries timeout max_frame chaos_seed kill9_pct
       if kill9_pct <= 0 then None
       else begin
         let h =
-          Harness.create ~crash_pct:0 ~hang_pct:0 ~cache_pct:0 ~kill9_pct
+          Harness.create ~crash_pct:0 ~hang_pct:0 ~kill9_pct
             ~seed:(Option.value ~default:0 chaos_seed)
             ()
         in

@@ -14,11 +14,11 @@
               the allocation probe on, e.g. bap_tables --alloc-out).
 
    Examples:
-     dune exec bin/bap_tables.exe -- --trace-out sweep.jsonl
+     dune exec bin/bap_tables.exe -- --no-journal --trace-out sweep.jsonl
      dune exec bin/bap_trace.exe -- summary sweep.jsonl
      dune exec bin/bap_trace.exe -- diff before.jsonl after.jsonl
      dune exec bin/bap_trace.exe -- critpath sweep.jsonl --top 10
-     dune exec bin/bap_tables.exe -- --alloc-out alloc.jsonl
+     dune exec bin/bap_tables.exe -- --no-journal --alloc-out alloc.jsonl
      dune exec bin/bap_trace.exe -- alloc alloc.jsonl *)
 
 open Cmdliner

@@ -21,7 +21,6 @@ type t = {
   crash_pct : int;
   hang_pct : int;
   doomed_pct : int;
-  cache_pct : int;
   faulty_attempts : int;
   frame_corrupt_pct : int;
   disconnect_pct : int;
@@ -30,9 +29,8 @@ type t = {
 }
 
 let create ?(crash_pct = 25) ?(hang_pct = 10) ?(doomed_pct = 0)
-    ?(cache_pct = 25) ?(faulty_attempts = 2) ?(frame_corrupt_pct = 0)
-    ?(disconnect_pct = 0) ?(respond_disconnect_pct = 0) ?(kill9_pct = 0) ~seed
-    () =
+    ?(faulty_attempts = 2) ?(frame_corrupt_pct = 0) ?(disconnect_pct = 0)
+    ?(respond_disconnect_pct = 0) ?(kill9_pct = 0) ~seed () =
   let pct name v =
     if v < 0 || v > 100 then
       invalid_arg (Printf.sprintf "Harness.create: %s = %d not in 0..100" name v)
@@ -40,7 +38,6 @@ let create ?(crash_pct = 25) ?(hang_pct = 10) ?(doomed_pct = 0)
   pct "crash_pct" crash_pct;
   pct "hang_pct" hang_pct;
   pct "doomed_pct" doomed_pct;
-  pct "cache_pct" cache_pct;
   pct "frame_corrupt_pct" frame_corrupt_pct;
   pct "disconnect_pct" disconnect_pct;
   pct "respond_disconnect_pct" respond_disconnect_pct;
@@ -57,7 +54,6 @@ let create ?(crash_pct = 25) ?(hang_pct = 10) ?(doomed_pct = 0)
     crash_pct;
     hang_pct;
     doomed_pct;
-    cache_pct;
     faulty_attempts;
     frame_corrupt_pct;
     disconnect_pct;
@@ -112,45 +108,3 @@ let corrupt_byte t ~key ~len =
      guaranteed visible to the codec or the JSON parser. *)
   let mask = 1 + (djb2 (Printf.sprintf "%d|framemask|%s" t.seed key) mod 255) in
   (off, mask)
-
-let corrupt_cache t ~dir =
-  if not (Sys.file_exists dir && Sys.is_directory dir) then 0
-  else begin
-    let shards =
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".rows")
-      |> List.sort String.compare
-    in
-    List.fold_left
-      (fun n shard ->
-        if roll t ~salt:"cache" ~key:shard < t.cache_pct then begin
-          let p = Filename.concat dir shard in
-          (* Flip one byte in place: enough to break the entry's digest
-             check, exactly the damage verify-on-read must absorb. *)
-          match
-            let fd = Unix.openfile p [ Unix.O_RDWR ] 0o644 in
-            Fun.protect
-              ~finally:(fun () -> Unix.close fd)
-              (fun () ->
-                let size = (Unix.fstat fd).Unix.st_size in
-                if size = 0 then false
-                else begin
-                  let off = djb2 (Printf.sprintf "%d|off|%s" t.seed shard) mod size in
-                  ignore (Unix.lseek fd off Unix.SEEK_SET);
-                  let b = Bytes.create 1 in
-                  if Unix.read fd b 0 1 <> 1 then false
-                  else begin
-                    Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
-                    ignore (Unix.lseek fd off Unix.SEEK_SET);
-                    ignore (Unix.write fd b 0 1);
-                    true
-                  end
-                end)
-          with
-          | true -> n + 1
-          | false -> n
-          | exception Unix.Unix_error _ -> n
-        end
-        else n)
-      0 shards
-  end

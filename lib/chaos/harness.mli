@@ -2,10 +2,10 @@
 
     Where {!Schedule} injects faults into the *simulated protocol*, this
     module injects them into the *stack that runs the experiments*:
-    worker crashes, artificial hangs, and cache-shard corruption, all
-    derived purely from (seed, cell key, attempt). Same seed, same
-    faults — at any [--jobs] level — so tests can assert the supervisor
-    recovers a fault-injected sweep to byte-identical output. *)
+    worker crashes and artificial hangs, derived purely from (seed, cell
+    key, attempt). Same seed, same faults — at any [--jobs] level — so
+    tests can assert the supervisor recovers a fault-injected sweep to
+    byte-identical output. *)
 
 type frame_fault =
   | Corrupt_payload  (** flip one payload byte before it hits the wire *)
@@ -21,7 +21,6 @@ val create :
   ?crash_pct:int ->
   ?hang_pct:int ->
   ?doomed_pct:int ->
-  ?cache_pct:int ->
   ?faulty_attempts:int ->
   ?frame_corrupt_pct:int ->
   ?disconnect_pct:int ->
@@ -30,12 +29,12 @@ val create :
   seed:int ->
   unit ->
   t
-(** Defaults: 25% crash, 10% hang, 0% doomed, 25% cache corruption,
-    [faulty_attempts = 2], 0% frame corruption, 0% disconnects (mid-
-    frame or on-respond), 0% kill9. A non-doomed cell only faults on
-    its first [faulty_attempts] attempts, so any retry budget >= that
-    recovers it — the default schedule degrades nothing. [doomed_pct]
-    marks cells that fault on {e every} attempt, forcing quarantine.
+(** Defaults: 25% crash, 10% hang, 0% doomed, [faulty_attempts = 2],
+    0% frame corruption, 0% disconnects (mid-frame or on-respond), 0%
+    kill9. A non-doomed cell only faults on its first [faulty_attempts]
+    attempts, so any retry budget >= that recovers it — the default
+    schedule degrades nothing. [doomed_pct] marks cells that fault on
+    {e every} attempt, forcing quarantine.
     The frame percentages drive client-side wire chaos for the serve
     load generator; [kill9_pct] drives the server-side SIGKILL probe.
     Raises [Invalid_argument] on percentages outside 0..100,
@@ -72,9 +71,3 @@ val corrupt_byte : t -> key:string -> len:int -> int * int
     [len] bytes: flip the byte at [offset] with [xor mask]. The mask is
     never 0, so the damage is always visible. Raises
     [Invalid_argument] if [len <= 0]. *)
-
-val corrupt_cache : t -> dir:string -> int
-(** Flip one byte in a deterministic subset ([cache_pct]) of the
-    [*.rows] shards under [dir], returning how many were damaged —
-    exactly the torn-write damage the cache's verify-on-read must absorb
-    as misses. Missing directory = 0. *)

@@ -1,52 +1,18 @@
 type rows = string list list
 
-type t = { root : string; fingerprint : string; corrupt : int Atomic.t }
-
-let default_dir = Filename.concat "results" "cache"
-
 let code_fingerprint () =
   match Digest.file Sys.executable_name with
   | d -> Digest.to_hex d
   | exception Sys_error _ -> "no-executable-fingerprint"
 
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Sys.mkdir d 0o755 with Sys_error _ -> ()
-  end
-
-let create ?fingerprint ~dir () =
-  let fingerprint =
-    match fingerprint with Some f -> f | None -> code_fingerprint ()
-  in
-  mkdir_p dir;
-  { root = dir; fingerprint; corrupt = Atomic.make 0 }
-
-let dir t = t.root
-let fingerprint t = t.fingerprint
-let corrupt_count t = Atomic.get t.corrupt
-
 let cell_address ~fingerprint ~exp_id ~scope ~cell_key =
   Digest.to_hex
     (Digest.string (String.concat "\x00" [ fingerprint; exp_id; scope; cell_key ]))
 
-let key t ~exp_id ~scope ~cell_key =
-  cell_address ~fingerprint:t.fingerprint ~exp_id ~scope ~cell_key
-
-let path t k = Filename.concat t.root (k ^ ".rows")
-
 (* Row payload, line oriented:
      <field-count>TAB<escaped field>TAB...   (one line per row)
    Fields go through String.escaped, which escapes tabs and newlines, so
-   splitting on the literal TAB is unambiguous. An entry on disk wraps
-   the payload with a digest:
-     bap-cache 2
-     <md5 hex of the payload>
-     <payload lines...>
-   Verify-on-read of the digest catches torn writes *and* bit flips
-   inside field text, which the v1 per-line field counts could not. *)
-
-let magic = "bap-cache 2"
+   splitting on the literal TAB is unambiguous. *)
 
 let encode_rows rows =
   let b = Buffer.create 256 in
@@ -83,55 +49,3 @@ let decode_rows s =
     | l :: ls -> ( match parse_row l with Some r -> go (r :: acc) ls | None -> None)
   in
   go [] lines
-
-let encode rows =
-  let payload = encode_rows rows in
-  String.concat "\n" [ magic; Digest.to_hex (Digest.string payload); payload ]
-
-let decode s =
-  match String.index_opt s '\n' with
-  | None -> None
-  | Some i -> (
-    if not (String.equal (String.sub s 0 i) magic) then None
-    else
-      match String.index_from_opt s (i + 1) '\n' with
-      | None -> None
-      | Some j ->
-        let digest = String.sub s (i + 1) (j - i - 1) in
-        let payload = String.sub s (j + 1) (String.length s - j - 1) in
-        if String.equal digest (Digest.to_hex (Digest.string payload)) then
-          decode_rows payload
-        else None)
-
-let read_file p =
-  let ic = open_in_bin p in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let find t k =
-  let p = path t k in
-  if not (Sys.file_exists p) then None
-  else
-    let contents = try Some (read_file p) with Sys_error _ -> None in
-    match Option.map decode contents with
-    | Some (Some rows) -> Some rows
-    | Some None ->
-      (* Corrupt entry: a torn write or on-disk damage. Leaving it would
-         cost a decode on every future run — delete it, count it, and
-         let the engine surface the tally. *)
-      Atomic.incr t.corrupt;
-      (try Sys.remove p with Sys_error _ -> ());
-      None
-    | None -> None
-
-let store t k rows =
-  try
-    mkdir_p t.root;
-    let tmp = Filename.temp_file ~temp_dir:t.root "cell" ".tmp" in
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (encode rows));
-    Sys.rename tmp (path t k)
-  with Sys_error _ -> ()

@@ -1,18 +1,12 @@
-(** Content-addressed cache of experiment-cell results.
+(** Cell naming and row encoding for the sweep journal.
 
     A cell's address is the MD5 of (code fingerprint, experiment id,
-    scope, cell key). The code fingerprint defaults to the digest of the
-    running executable, so rebuilding with different code invalidates
-    every entry while re-running the same binary hits; experiments never
-    need to declare which code they depend on. Entries live one per file
-    under the cache directory ([results/cache/] by default) as a
-    digest-framed text payload (format [bap-cache 2]), and are written
-    atomically (temp file + rename) so concurrent writers of the same
-    key cannot tear an entry. A corrupt entry — torn write, bit flip,
-    stale v1 format — is treated as a miss, deleted from disk, and
-    counted; the engine surfaces the tally in its summary line. *)
-
-type t
+    scope, cell key). The code fingerprint is the digest of the running
+    executable, so a rebuild with different code gives every cell a new
+    address while re-running the same binary finds the old ones;
+    experiments never need to declare which code they depend on.
+    {!Journal} keys its records by this address and stores their rows in
+    the {!encode_rows} format. *)
 
 type rows = string list list
 (** The table rows a cell produced. *)
@@ -21,41 +15,13 @@ val code_fingerprint : unit -> string
 (** Digest of [Sys.executable_name] (hex). Falls back to a constant when
     the executable cannot be read (e.g. self-deleted binary). *)
 
-val default_dir : string
-(** ["results/cache"]. *)
-
-val create : ?fingerprint:string -> dir:string -> unit -> t
-(** Open (and create if needed) a cache rooted at [dir].
-    [fingerprint] overrides the code fingerprint — tests use this to
-    exercise invalidation. *)
-
-val dir : t -> string
-
-val fingerprint : t -> string
-(** The fingerprint this cache (and any journal sharing it) is keyed on. *)
-
 val cell_address :
   fingerprint:string -> exp_id:string -> scope:string -> cell_key:string -> string
-(** Stable hex address of one cell. The same address scheme keys the
-    sweep journal, so cache and journal agree on cell identity. *)
-
-val key : t -> exp_id:string -> scope:string -> cell_key:string -> string
-(** [cell_address] under the cache's own fingerprint. *)
-
-val find : t -> string -> rows option
-(** Lookup by {!key}. Corrupt or unreadable entries behave as misses;
-    corrupt ones are additionally deleted and counted. *)
-
-val store : t -> string -> rows -> unit
-(** Persist a cell result. Best-effort: an unwritable cache directory
-    degrades to "no caching" rather than failing the run. *)
-
-val corrupt_count : t -> int
-(** Corrupt entries encountered (and deleted) since [create]. *)
+(** Stable hex address of one cell. *)
 
 val encode_rows : rows -> string
 (** Serialize rows to the line-oriented payload format (no digest
-    framing). Shared with the journal's record payloads. *)
+    framing: the journal's WAL frames each record). *)
 
 val decode_rows : string -> rows option
 (** Inverse of {!encode_rows}; [None] on any malformation. *)

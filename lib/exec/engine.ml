@@ -2,13 +2,11 @@ module Tel = Bap_telemetry.Telemetry
 
 type stats = {
   total_cells : int;
-  cache_hits : int;
   journal_hits : int;
   executed : int;
   retried : int;
   quarantined : (string * string) list;
   ledgers : (string * Supervisor.attempt_record list) list;
-  cache_corrupt : int;
   jobs : int;
   wall : float;
 }
@@ -21,16 +19,14 @@ type slot = {
   exp_id : string;
   cell : Plan.cell;
   cid : string; (* Plan.cell_id — supervisor / chaos / report identity *)
-  addr : string option; (* cache address, when a cache is in play *)
   jaddr : string option; (* journal address, when a journal is in play *)
   mutable result : Plan.row list option; (* None until computed *)
-  mutable origin : string; (* "journal-hit" / "cache-hit", "" when computed *)
   mutable ledger : Supervisor.attempt_record list;
   mutable quarantined : bool;
 }
 
-let run ?pool ?(cache : Cache.t option) ?(journal : Journal.t option)
-    ?(supervisor : Supervisor.t option) ?(render = true) (plans : Plan.t list) =
+let run ?pool ?(journal : Journal.t option) ?(supervisor : Supervisor.t option)
+    ?(render = true) (plans : Plan.t list) =
   let t0 = Unix.gettimeofday () in
   (* The sweep span's end attributes are deliberately scheduling-free:
      no jobs, no wall time — those live in the metrics snapshot, so the
@@ -45,7 +41,6 @@ let run ?pool ?(cache : Cache.t option) ?(journal : Journal.t option)
         [
           ("cells", Tel.Int s.total_cells);
           ("executed", Tel.Int s.executed);
-          ("cache_hits", Tel.Int s.cache_hits);
           ("journal_hits", Tel.Int s.journal_hits);
           ("retried", Tel.Int s.retried);
           ("quarantined", Tel.Int (List.length s.quarantined));
@@ -57,12 +52,6 @@ let run ?pool ?(cache : Cache.t option) ?(journal : Journal.t option)
          (fun plan_idx (p : Plan.t) ->
            List.map
              (fun (cell : Plan.cell) ->
-               let addr =
-                 Option.map
-                   (fun c ->
-                     Cache.key c ~exp_id:p.exp_id ~scope:p.scope ~cell_key:cell.key)
-                   cache
-               in
                let jaddr =
                  Option.map
                    (fun j ->
@@ -75,65 +64,34 @@ let run ?pool ?(cache : Cache.t option) ?(journal : Journal.t option)
                  exp_id = p.exp_id;
                  cell;
                  cid = Plan.cell_id ~exp_id:p.exp_id ~scope:p.scope ~key:cell.key;
-                 addr;
                  jaddr;
                  result = None;
-                 origin = "";
                  ledger = [];
                  quarantined = false;
                })
              p.cells)
          plans)
   in
-  (* Journal pass first: the journal is this sweep's own write-ahead log,
-     so a resumed run trusts it before consulting the shared cache. *)
+  (* Journal pass: replayed cells still appear in the trace, one instant
+     per hit, in deterministic slot order on the main track. *)
   List.iter
     (fun s ->
       match (journal, s.jaddr) with
       | Some j, Some a ->
         s.result <- Journal.find j a;
-        if s.result <> None then s.origin <- "journal-hit"
+        if s.result <> None then
+          Tel.instant ~cat:"exec" ~name:"cell"
+            ~attrs:(fun () ->
+              [ ("id", Tel.Str s.cid); ("outcome", Tel.Str "journal-hit") ])
+            ()
       | _ -> ())
-    slots;
-  let journal_hits = List.length (List.filter (fun s -> s.result <> None) slots) in
-  (* Cache pass. *)
-  List.iter
-    (fun s ->
-      match (cache, s.addr) with
-      | Some c, Some a when s.result = None ->
-        s.result <- Cache.find c a;
-        if s.result <> None then s.origin <- "cache-hit"
-      | _ -> ())
-    slots;
-  (* Short-circuited cells still appear in the trace: one instant per
-     hit, in deterministic slot order on the main track. *)
-  List.iter
-    (fun s ->
-      if s.origin <> "" then
-        Tel.instant ~cat:"exec" ~name:"cell"
-          ~attrs:(fun () ->
-            [ ("id", Tel.Str s.cid); ("outcome", Tel.Str s.origin) ])
-          ())
     slots;
   let misses = List.filter (fun s -> s.result = None) slots in
-  let cache_hits = List.length slots - List.length misses - journal_hits in
-  (* Anything already known (journal or cache hit) still belongs in the
-     journal, so a later resume never depends on the cache's fate. *)
-  let persist_known s =
+  (* Journal one freshly computed slot. Runs on the computing domain via
+     the pool's on_result hook, so a kill loses only unfinished cells. *)
+  let persist s =
     match (journal, s.jaddr, s.result) with
     | Some j, Some a, Some rows -> Journal.append j a rows
-    | _ -> ()
-  in
-  List.iter (fun s -> if s.result <> None then persist_known s) slots;
-  (* Persist one freshly computed slot: journal first (the crash-safety
-     contract), then the cache. Runs on the computing domain via the
-     pool's on_result hook, so a kill loses only unfinished cells. *)
-  let persist_fresh s =
-    (match (journal, s.jaddr, s.result) with
-    | Some j, Some a, Some rows -> Journal.append j a rows
-    | _ -> ());
-    match (cache, s.addr, s.result) with
-    | Some c, Some a, Some rows -> Cache.store c a rows
     | _ -> ()
   in
   (* Compute pass: the pool when given, inline otherwise. Supervised
@@ -174,7 +132,7 @@ let run ?pool ?(cache : Cache.t option) ?(journal : Journal.t option)
               ()))
       miss_arr
   in
-  let on_result i = persist_fresh miss_arr.(i) in
+  let on_result i = persist miss_arr.(i) in
   let results =
     match pool with
     | Some pool -> Pool.run_all ~on_result pool tasks
@@ -209,8 +167,7 @@ let run ?pool ?(cache : Cache.t option) ?(journal : Journal.t option)
   let s =
     {
       total_cells = List.length slots;
-      cache_hits;
-      journal_hits;
+      journal_hits = List.length slots - List.length misses;
       executed = Array.length miss_arr;
       retried =
         List.fold_left
@@ -225,34 +182,27 @@ let run ?pool ?(cache : Cache.t option) ?(journal : Journal.t option)
           (fun s -> if s.quarantined then Some (s.exp_id, s.cell.Plan.key) else None)
           misses;
       ledgers = List.map (fun s -> (s.cid, s.ledger)) failed;
-      cache_corrupt = (match cache with Some c -> Cache.corrupt_count c | None -> 0);
       jobs = (match pool with Some p -> Pool.size p | None -> 1);
       wall;
     }
   in
   Tel.Metrics.counter "exec.cells" s.total_cells;
-  Tel.Metrics.counter "exec.cache_hits" s.cache_hits;
   Tel.Metrics.counter "exec.journal_hits" s.journal_hits;
   Tel.Metrics.counter "exec.executed" s.executed;
   Tel.Metrics.counter "exec.retried" s.retried;
   Tel.Metrics.counter "exec.quarantined" (List.length s.quarantined);
-  Tel.Metrics.counter "exec.cache_corrupt" s.cache_corrupt;
   out := Some s;
   s
 
-let run_serial plan = ignore (run [ plan ])
-
 let pp_stats ppf s =
-  Format.fprintf ppf "%d cells: %d cached, %d ran on %d worker%s in %.2fs"
-    s.total_cells s.cache_hits s.executed s.jobs
+  Format.fprintf ppf "%d cells: %d ran on %d worker%s in %.2fs"
+    s.total_cells s.executed s.jobs
     (if s.jobs = 1 then "" else "s")
     s.wall;
   if s.journal_hits > 0 then
     Format.fprintf ppf ", %d from journal" s.journal_hits;
   if s.retried > 0 then
     Format.fprintf ppf ", %d failed attempt(s) retried" s.retried;
-  if s.cache_corrupt > 0 then
-    Format.fprintf ppf ", cache corrupt entries: %d" s.cache_corrupt;
   if s.quarantined <> [] then
     Format.fprintf ppf ", DEGRADED: %d cell(s) quarantined"
       (List.length s.quarantined)
@@ -288,17 +238,14 @@ let stats_json (s : stats) =
     "{\n\
     \  \"version\": 1,\n\
     \  \"total_cells\": %d,\n\
-    \  \"cache_hits\": %d,\n\
     \  \"journal_hits\": %d,\n\
     \  \"executed\": %d,\n\
     \  \"retried\": %d,\n\
-    \  \"cache_corrupt\": %d,\n\
     \  \"jobs\": %d,\n\
     \  \"wall_s\": %.3f,\n\
     \  \"quarantined\": [%s],\n\
     \  \"ledgers\": [%s]\n\
      }\n"
-    s.total_cells s.cache_hits s.journal_hits s.executed s.retried s.cache_corrupt
-    s.jobs s.wall
+    s.total_cells s.journal_hits s.executed s.retried s.jobs s.wall
     (String.concat ", " quarantined)
     (String.concat ", " ledgers)

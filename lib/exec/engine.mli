@@ -1,8 +1,8 @@
 (** The execution engine: fan experiment cells out over a domain pool,
-    short-circuit through the journal and the result cache, reassemble
-    tables in canonical order.
+    short-circuit through the journal, reassemble tables in canonical
+    order.
 
-    Output on stdout is byte-identical whatever the pool size, cache or
+    Output on stdout is byte-identical whatever the pool size or
     journal state, because cells never print — every byte comes from the
     plans' [render] functions, called serially in plan order after all
     cells have finished.
@@ -12,13 +12,13 @@
     that exhaust it are quarantined — omitted from their plan's render
     input and listed in [stats.quarantined], leaving the sweep complete
     but DEGRADED. With a [journal], every finished cell is flushed to a
-    write-ahead log as it completes, so a killed sweep resumes without
-    recomputing. *)
+    write-ahead log as it completes, and every cell the journal already
+    holds is replayed instead of run: a re-run of the same build
+    recomputes nothing, and a killed sweep resumes where it stopped. *)
 
 type stats = {
   total_cells : int;
-  cache_hits : int;
-  journal_hits : int;  (** Cells replayed from a resumed journal. *)
+  journal_hits : int;  (** Cells replayed from the journal. *)
   executed : int;  (** Cells actually run this time. *)
   retried : int;  (** Failed attempts that were retried (and so re-run). *)
   quarantined : (string * string) list;
@@ -28,7 +28,6 @@ type stats = {
       (** Per-cell failure ledgers ({!Plan.cell_id} keyed), for every
           cell that failed at least one attempt. Deterministic for a
           fixed supervisor seed. *)
-  cache_corrupt : int;  (** Corrupt cache entries deleted during the run. *)
   jobs : int;  (** Pool parallelism used (1 when no pool given). *)
   wall : float;  (** Seconds spent computing (excludes rendering). *)
 }
@@ -38,26 +37,21 @@ val degraded : stats -> bool
 
 val run :
   ?pool:Pool.t ->
-  ?cache:Cache.t ->
   ?journal:Journal.t ->
   ?supervisor:Supervisor.t ->
   ?render:bool ->
   Plan.t list ->
   stats
-(** Run every plan's cells — journal replay first, then cache, then the
-    pool for the rest (inline when [pool] is absent) — persisting each
-    fresh result to journal and cache as it completes, then render each
-    plan in order. [render:false] skips the rendering pass — for timing
-    sweeps without producing output.
+(** Run every plan's cells — journal replay first, then the pool for
+    the rest (inline when [pool] is absent) — journaling each fresh
+    result as it completes, then render each plan in order.
+    [render:false] skips the rendering pass — for timing sweeps without
+    producing output.
 
     Without [supervisor], a raising cell re-raises after the whole batch
     has settled (everything finished is already journaled) and nothing
     is rendered. With one, failures are retried/quarantined and the run
     always renders — partially, if cells were lost. *)
-
-val run_serial : Plan.t -> unit
-(** [run ~pool:none ~cache:none] on one plan: the reference serial
-    path. *)
 
 val stats_json : stats -> string
 (** The same report as {!pp_stats} in machine-readable JSON (version 1):
@@ -66,7 +60,6 @@ val stats_json : stats -> string
 
 val pp_stats : Format.formatter -> stats -> unit
 (** One-line report, e.g.
-    ["26 cells: 20 cached, 6 ran on 8 workers in 1.24s, 3 from journal,
-      2 failed attempt(s) retried, cache corrupt entries: 1, DEGRADED:
-      1 cell(s) quarantined"] — the optional segments appear only when
-    nonzero. *)
+    ["26 cells: 6 ran on 8 workers in 1.24s, 20 from journal,
+      2 failed attempt(s) retried, DEGRADED: 1 cell(s) quarantined"] —
+    the optional segments appear only when nonzero. *)

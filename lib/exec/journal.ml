@@ -6,7 +6,8 @@
    prefix is replayed, a torn tail is truncated away, and the sweep
    re-runs only what is missing — producing byte-identical tables to an
    uninterrupted run at any --jobs level, because rendering order comes
-   from the plan, never from completion order.
+   from the plan, never from completion order. The journal is the one
+   store of cell results: re-running a build replays every cell from it.
 
    The framing, torn-tail truncation, per-record flush, and loud
    best-effort degradation all live in the shared {!Wal} core (extracted
@@ -15,8 +16,8 @@
    payload codec, and at-most-once dedup of addresses. Records are
    tagged "cell" and keyed by the Cache.cell_address of the cell under
    the journal's fingerprint; a journal written by a different build
-   fails the WAL header check and is discarded wholesale, exactly like
-   the cache. *)
+   fails the WAL header check and is discarded wholesale, so a rebuild
+   recomputes every cell. *)
 
 type t = {
   wal : Wal.t;

@@ -1,16 +1,18 @@
 (** Crash-safe write-ahead journal for sweeps.
 
-    Each completed cell is appended as one digest-framed record and
-    flushed before the sweep moves on: after {!append} returns, a
-    SIGKILL cannot lose that cell. Resuming ([open_ ~resume:true])
-    replays the longest valid prefix, truncates any torn tail, and
-    leaves the engine to re-run only the missing cells — output is
-    byte-identical to an uninterrupted run at any [--jobs] level
-    because render order comes from the plan, not completion order.
+    The journal is the one store of cell results. Each completed cell is
+    appended as one digest-framed record and flushed before the sweep
+    moves on: after {!append} returns, a SIGKILL cannot lose that cell.
+    Resuming ([open_ ~resume:true]) replays the longest valid prefix,
+    truncates any torn tail, and leaves the engine to re-run only the
+    missing cells — so a re-run of the same build recomputes nothing, a
+    killed sweep continues where it stopped, and output is
+    byte-identical to an uninterrupted run at any [--jobs] level because
+    render order comes from the plan, not completion order.
 
     Records are keyed by {!Cache.cell_address} under the journal's
     fingerprint; a journal written by a different build fails the header
-    check and is discarded wholesale, mirroring cache invalidation.
+    check and is discarded wholesale, so a rebuild recomputes every cell.
     Framing, torn-tail truncation and flushing live in the shared
     {!Wal} core. Opening is best-effort: an unwritable path degrades to
     "no journaling" rather than failing the sweep — loudly, via the

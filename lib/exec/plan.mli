@@ -4,8 +4,8 @@
     Each cell is a closed job — it derives its own RNG from constants in
     its key, touches no state shared with other cells, and returns table
     rows instead of printing. That contract is what lets the engine run
-    cells on any domain in any order, cache them content-addressed, and
-    still reassemble output byte-identical to a serial run. *)
+    cells on any domain in any order, replay them from the sweep journal,
+    and still reassemble output byte-identical to a serial run. *)
 
 type row = string list
 
@@ -13,7 +13,7 @@ type cell = {
   key : string;
       (** Canonical id within the experiment, e.g. ["f=3,m=4"]. Together
           with the experiment id, scope and code fingerprint it addresses
-          the cell's cache entry, so it must encode every parameter the
+          the cell's journal record, so it must encode every parameter the
           cell's result depends on (the code fingerprint covers the
           rest). *)
   run : unit -> row list;
@@ -46,6 +46,6 @@ val keys : t -> string list
 
 val cell_id : exp_id:string -> scope:string -> key:string -> string
 (** ["E1/full/f=3,m=4"] — the human-readable cell identity used by the
-    supervisor's quarantine reports and chaos schedules (the cache and
-    journal use {!Cache.cell_address}, which also folds in the code
+    supervisor's quarantine reports and chaos schedules (the journal
+    uses {!Cache.cell_address}, which also folds in the code
     fingerprint). *)

@@ -32,7 +32,7 @@ val run_all :
 
     [on_result i] fires on the domain that ran task [i], right after its
     slot is written — the engine's incremental-persistence hook (journal
-    append, cache store), so a kill mid-batch loses only unfinished
+    append), so a kill mid-batch loses only unfinished
     cells. The callback must be thread-safe; exceptions it raises are
     swallowed (a raising hook would kill its worker domain). *)
 

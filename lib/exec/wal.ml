@@ -9,11 +9,11 @@
      <payload>
      rec ...
 
-   [magic] names the log kind ("bap-journal 1", "bap-serve-journal 1");
+   [magic] names the log kind ("bap-journal 2", "bap-serve-journal 1");
    the fingerprint makes a log written by a different build invalid as a
-   whole, exactly like the cache. [tag] and [key] are caller-chosen
-   space-free tokens; the digest makes any torn or damaged record — and
-   everything after it — detectable. One flush per record is the
+   whole. [tag] and [key] are caller-chosen space-free tokens; the
+   digest makes any torn or damaged record — and everything after it —
+   detectable. One flush per record is the
    crash-safety contract: after [append] returns, a SIGKILL cannot lose
    that record.
 

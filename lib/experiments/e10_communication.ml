@@ -50,5 +50,3 @@ let plan ?(quick = false) () =
         "correct";
       ]
     (List.map cell sizes)
-
-let run ?quick () = Bap_exec.Engine.run_serial (plan ?quick ())

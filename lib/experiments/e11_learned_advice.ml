@@ -65,5 +65,3 @@ let plan ?(quick = false) () =
            the next slot's predictions, so the decision time drops toward the\n\
            perfect-advice floor.\n");
   }
-
-let run ?quick () = Bap_exec.Engine.run_serial (plan ?quick ())

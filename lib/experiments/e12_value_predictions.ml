@@ -48,5 +48,3 @@ let plan ?(quick = false) () =
     ~headers:
       [ "shared prediction"; "decided (with value preds)"; "decided (without)"; "correct" ]
     (List.map cell [ 1.0; 0.9; 0.5; 0.0 ])
-
-let run ?quick () = Bap_exec.Engine.run_serial (plan ?quick ())

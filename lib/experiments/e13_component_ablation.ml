@@ -47,5 +47,3 @@ let plan ?(quick = false) () =
       (Printf.sprintf "E13  component ablation of Algorithm 1  (n=%d, t=%d, splitter)" n t)
     ~headers:[ "f"; "target-m"; "full wrapper"; "without class-BA"; "without early-stop" ]
     (List.map cell [ (0, 0); (0, t); (t / 2, 0); (t, 0); (t, 2); (t, t) ])
-
-let run ?quick () = Bap_exec.Engine.run_serial (plan ?quick ())

@@ -85,5 +85,3 @@ let plan ?(quick = false) () =
         "n"; "f"; "target-m"; "B"; "B/n"; "k_A"; "decided-round"; "min(m+1,f+2)"; "correct";
       ]
     cells
-
-let run ?quick () = Bap_exec.Engine.run_serial (plan ?quick ())

@@ -44,5 +44,3 @@ let plan ?(quick = false) () =
       (Printf.sprintf "E2  auth rounds vs B  (n=%d, t=%d ~ 0.45n, focused errors)" n t)
     ~headers:[ "f"; "target-m"; "B"; "B/n"; "k_A"; "decided-round"; "correct" ]
     cells
-
-let run ?quick () = Bap_exec.Engine.run_serial (plan ?quick ())

@@ -43,5 +43,3 @@ let plan ?(quick = false) () =
     ~headers:
       [ "n"; "t"; "f"; "msgs"; "msgs/n^2"; "pred-mach"; "pred/n^2"; "es-msgs"; "correct" ]
     (List.map cell sizes)
-
-let run ?quick () = Bap_exec.Engine.run_serial (plan ?quick ())

@@ -32,5 +32,3 @@ let plan ?(quick = false) () =
     ~title:"E4  auth messages vs n  (f = t/2 silent faults, 2 misclassified)"
     ~headers:[ "n"; "t"; "f"; "msgs"; "msgs/n^2"; "msgs/n^3"; "correct" ]
     (List.map cell sizes)
-
-let run ?quick () = Bap_exec.Engine.run_serial (plan ?quick ())

@@ -43,5 +43,3 @@ let plan ?(quick = false) () =
     ~title:(Printf.sprintf "E5  round lower bound vs measured  (n=%d, t=%d)" n t)
     ~headers:[ "f"; "target-m"; "B"; "LB"; "measured"; "measured/LB"; "correct" ]
     cells
-
-let run ?quick () = Bap_exec.Engine.run_serial (plan ?quick ())

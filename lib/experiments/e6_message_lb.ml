@@ -70,5 +70,3 @@ let plan ?(quick = false) () =
             "  agreement broken: %s  (hence Omega(n + t^2) messages are necessary)\n" broken
         | _ -> invalid_arg "E6: malformed demo cell");
   }
-
-let run ?quick () = Bap_exec.Engine.run_serial (plan ?quick ())

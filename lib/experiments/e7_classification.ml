@@ -37,5 +37,3 @@ let plan ?(quick = false) () =
       (Printf.sprintf "E7  classification quality vs B  (n=%d, t=f=%d, lying faulty)" n t)
     ~headers:[ "placement"; "B"; "B/n"; "k_A"; "B/(n/2 - f)"; "k_A <= bound" ]
     cells
-
-let run ?quick () = Bap_exec.Engine.run_serial (plan ?quick ())

@@ -48,5 +48,3 @@ let plan ?(quick = false) () =
     ~headers:
       [ "f"; "target-m"; "B"; "wrapper-decided"; "es-baseline"; "phase-king"; "correct" ]
     cells
-
-let run ?quick () = Bap_exec.Engine.run_serial (plan ?quick ())

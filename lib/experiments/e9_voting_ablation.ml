@@ -59,5 +59,3 @@ let plan ?(quick = false) () =
     ~headers:
       [ "B"; "B/n"; "k_A (vote)"; "k_A (raw)"; "decided (vote)"; "decided (raw)"; "correct" ]
     (List.map cell [ 0; n / 2; n; 2 * n; 4 * n ])
-
-let run ?quick () = Bap_exec.Engine.run_serial (plan ?quick ())

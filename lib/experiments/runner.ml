@@ -1,8 +1,8 @@
 (* Run the experiment suite (E1-E13 from DESIGN.md) through the
    execution engine (lib/exec). [quick] shrinks the sweeps to
-   bench-friendly sizes; [pool]/[cache] fan the cells out over domains
-   and skip cells whose results are already cached. Output is
-   byte-identical whatever the pool size or cache state. *)
+   bench-friendly sizes; [pool] fans the cells out over domains and
+   [journal] replays cells it already holds. Output is byte-identical
+   whatever the pool size or journal state. *)
 
 module Engine = Bap_exec.Engine
 module Plan = Bap_exec.Plan
@@ -38,20 +38,23 @@ let wrap_degraded (p : Plan.t) =
   in
   { p with render }
 
-let plans ?quick () =
-  List.map (fun (_, _, plan) -> wrap_degraded (plan ?quick ())) all
+(* The canonical id of experiment [id], matched case-insensitively. *)
+let find_id id =
+  List.find_map
+    (fun (eid, _, _) ->
+      if String.lowercase_ascii eid = String.lowercase_ascii id then Some eid
+      else None)
+    all
 
-let run_all ?quick ?pool ?cache ?journal ?supervisor ?render () =
-  Engine.run ?pool ?cache ?journal ?supervisor ?render (plans ?quick ())
+(* Every experiment's plan, or only the one whose canonical id is
+   [only]. *)
+let plans ?quick ?only () =
+  List.filter_map
+    (fun (id, _, plan) ->
+      match only with
+      | Some o when o <> id -> None
+      | _ -> Some (wrap_degraded (plan ?quick ())))
+    all
 
-let run_one ?quick ?pool ?cache ?journal ?supervisor id =
-  match
-    List.find_opt
-      (fun (eid, _, _) -> String.lowercase_ascii eid = String.lowercase_ascii id)
-      all
-  with
-  | Some (_, _, plan) ->
-    Some
-      (Engine.run ?pool ?cache ?journal ?supervisor
-         [ wrap_degraded (plan ?quick ()) ])
-  | None -> None
+let run ?quick ?only ?pool ?journal ?supervisor ?render () =
+  Engine.run ?pool ?journal ?supervisor ?render (plans ?quick ?only ())

@@ -51,7 +51,7 @@ let catalog =
     {
       id = "D005";
       severity = Error;
-      summary = "Marshal outside lib/exec/cache.ml: serialization goes through Wire";
+      summary = "Marshal anywhere: serialization goes through Wire";
     };
     {
       id = "P001";

@@ -20,14 +20,13 @@ let in_dir dir path =
   && String.sub path 0 (String.length prefix) = prefix
 
 let rng_home = "lib/sim/rng.ml"
-let marshal_home = "lib/exec/cache.ml"
 
 (* The one place allowed to fold arbitrary exceptions into data: that is
    its whole job (raises become typed Cell_failure outcomes there). *)
 let supervisor_home = "lib/exec/supervisor.ml"
 
 (* Wall-clock reads are the business of the execution engine (worker
-   pools, cache timing), the telemetry spine (optional wall_us stamps on
+   pools, cell timing), the telemetry spine (optional wall_us stamps on
    trace events — everything logical stays seq-numbered), the serve
    layer (admission stamps, watchdog deadlines, latency quantiles — a
    service's observable behaviour is wall-clock by nature), and the
@@ -250,10 +249,9 @@ let check (src : Source.t) : Finding.t list =
            "%s reads the GC outside lib/telemetry; go through \
             Bap_telemetry.Memprobe"
            name);
-    if starts_with ~prefix:"Marshal." name && path <> marshal_home then
+    if starts_with ~prefix:"Marshal." name then
       emit ~loc "D005"
-        (Printf.sprintf "%s: byte serialization goes through Wire (or lib/exec/cache.ml)"
-           name);
+        (Printf.sprintf "%s: byte serialization goes through Wire" name);
     if name = "Hashtbl.hash" then
       emit ~loc "D004"
         "Hashtbl.hash is version- and representation-dependent; use an explicit hash";

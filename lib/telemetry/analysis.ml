@@ -100,7 +100,7 @@ let strip_wall text =
    submitting domain's: at --jobs 1 they include the inline cells,
    which are subtracted back out; at --jobs > 1 the cells allocate on
    worker domains and the remainder is pure harness overhead (journal,
-   cache, render). Every measured word lands in exactly one row, so the
+   render). Every measured word lands in exactly one row, so the
    rows sum to the measured total and the named-span coverage is
    1 - other/total. *)
 

@@ -1,11 +1,11 @@
 (* The execution engine (lib/exec): work-stealing pool semantics,
-   parallel determinism of the experiment cells, and the content
-   addressed result cache. *)
+   parallel determinism of the experiment cells, and replay from the
+   sweep journal. *)
 
 module Pool = Bap_exec.Pool
-module Cache = Bap_exec.Cache
 module Plan = Bap_exec.Plan
 module Engine = Bap_exec.Engine
+module Journal = Bap_exec.Journal
 module Rng = Bap_sim.Rng
 
 (* ---------- pool ---------- *)
@@ -141,22 +141,24 @@ let test_parallel_determinism () =
   Alcotest.(check bool) "rows non-empty" true (serial <> []);
   Alcotest.(check bool) "--jobs 1 = --jobs 8" true (serial = par)
 
-(* ---------- cache ---------- *)
+(* ---------- journal replay ---------- *)
 
 (* Unique per call without reading the clock: pid + an in-process
    counter is collision-free and keeps the test binary deterministic. *)
-let temp_dir_seq = Atomic.make 0
+let temp_seq = Atomic.make 0
 
-let temp_cache_dir () =
+let temp_journal_path () =
   Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "bap-cache-test-%d-%d" (Unix.getpid ())
-       (Atomic.fetch_and_add temp_dir_seq 1))
+    (Printf.sprintf "bap-exec-journal-%d-%d" (Unix.getpid ())
+       (Atomic.fetch_and_add temp_seq 1))
 
+(* The second field carries a tab and a newline, so replayed rows also
+   check the journal's row encoding escapes them. *)
 let counting_plan counter =
   let cell k =
     Plan.row_cell (Printf.sprintf "k=%d" k) (fun () ->
         incr counter;
-        [ string_of_int (k * 7); "x" ^ string_of_int k ])
+        [ string_of_int (k * 7); Printf.sprintf "tab\there nl\nthere %d" k ])
   in
   {
     Plan.exp_id = "TESTC";
@@ -165,72 +167,61 @@ let counting_plan counter =
     render = ignore;
   }
 
-let test_cache_hits_and_fingerprint_invalidation () =
-  let dir = temp_cache_dir () in
+(* One Engine.run over a journal opened in resume mode, as bap_tables
+   opens it: the rendered rows, the stats, and how many cells ran. *)
+let run_journaled ~path ~fingerprint =
   let ran = ref 0 in
-  let cache_a = Cache.create ~fingerprint:"code-A" ~dir () in
-  let s1 = Engine.run ~cache:cache_a [ counting_plan ran ] in
-  Alcotest.(check int) "cold run computes every cell" 5 !ran;
-  Alcotest.(check int) "cold run reports no hits" 0 s1.Engine.cache_hits;
-  (* Same fingerprint: all hits, nothing recomputed, same rows. *)
-  let rows_of c plan =
-    let got = ref [] in
-    let plan = { plan with Plan.render = (fun r -> got := r) } in
-    ignore (Engine.run ~cache:c [ plan ]);
-    !got
-  in
-  let warm = rows_of cache_a (counting_plan ran) in
-  Alcotest.(check int) "warm run computes nothing" 5 !ran;
-  let fresh = ref 0 in
-  let expected = rows_of (Cache.create ~fingerprint:"code-A" ~dir ()) (counting_plan fresh) in
-  Alcotest.(check bool) "warm rows equal cached rows" true (warm = expected);
-  (* Changed code fingerprint: every entry invalid, all cells rerun. *)
-  let cache_b = Cache.create ~fingerprint:"code-B" ~dir () in
-  let reran = ref 0 in
-  let s2 = Engine.run ~cache:cache_b [ counting_plan reran ] in
-  Alcotest.(check int) "fingerprint change recomputes" 5 !reran;
-  Alcotest.(check int) "no stale hits across fingerprints" 0 s2.Engine.cache_hits
+  let rows = ref [] in
+  let plan = { (counting_plan ran) with Plan.render = (fun r -> rows := r) } in
+  let j = Journal.open_ ~resume:true ~path ~fingerprint () in
+  let stats = Engine.run ~journal:j [ plan ] in
+  Journal.close j;
+  (!rows, stats, !ran)
 
-let test_cache_corrupt_entry_is_a_miss () =
-  let dir = temp_cache_dir () in
-  let c = Cache.create ~fingerprint:"code-A" ~dir () in
-  let k = Cache.key c ~exp_id:"X" ~scope:"s" ~cell_key:"c" in
-  Cache.store c k [ [ "a"; "b" ]; [ "tab\there"; "nl\nthere" ] ];
-  (match Cache.find c k with
-  | Some rows ->
-    Alcotest.(check bool) "round-trips escapes" true
-      (rows = [ [ "a"; "b" ]; [ "tab\there"; "nl\nthere" ] ])
-  | None -> Alcotest.fail "stored entry not found");
-  (* Truncate the entry on disk: must behave as a miss, not an error —
-     and the damaged shard must be deleted and counted, not left to
-     cost a failed decode on every future run. *)
-  let path = Filename.concat dir (k ^ ".rows") in
-  let oc = open_out_bin path in
-  output_string oc "bap-cache 1\n2\n";
-  close_out oc;
-  Alcotest.(check int) "no corruption seen yet" 0 (Cache.corrupt_count c);
-  Alcotest.(check bool) "corrupt entry is a miss" true (Cache.find c k = None);
-  Alcotest.(check int) "corrupt entry counted" 1 (Cache.corrupt_count c);
-  Alcotest.(check bool) "corrupt entry deleted" false (Sys.file_exists path);
-  Alcotest.(check bool) "second lookup a plain miss" true (Cache.find c k = None);
-  Alcotest.(check int) "plain miss not double-counted" 1 (Cache.corrupt_count c);
-  (* A single flipped byte inside field text (what Harness.corrupt_cache
-     injects) must also fail the digest check. *)
-  Cache.store c k [ [ "payload" ] ];
+let test_journal_replays_same_build () =
+  let path = temp_journal_path () in
+  let cold, s0, ran0 = run_journaled ~path ~fingerprint:"code-A" in
+  Alcotest.(check int) "cold run computes every cell" 5 ran0;
+  Alcotest.(check int) "cold run reports no hits" 0 s0.Engine.journal_hits;
+  let warm, s1, ran1 = run_journaled ~path ~fingerprint:"code-A" in
+  Alcotest.(check int) "same build computes nothing" 0 ran1;
+  Alcotest.(check int) "same build replays every cell" 5 s1.Engine.journal_hits;
+  Alcotest.(check bool) "replayed rows equal computed rows" true (warm = cold);
+  (* A new code fingerprint invalidates the whole journal. *)
+  let fresh, s2, ran2 = run_journaled ~path ~fingerprint:"code-B" in
+  Alcotest.(check int) "new build recomputes every cell" 5 ran2;
+  Alcotest.(check int) "no stale hits across builds" 0 s2.Engine.journal_hits;
+  Alcotest.(check bool) "recomputed rows identical" true (fresh = cold);
+  Sys.remove path
+
+(* Damage inside the file, not at its tail: the digest of the third
+   record fails, so the two records before it replay and the engine
+   recomputes the rest. *)
+let test_journal_mid_file_flip () =
+  let path = temp_journal_path () in
+  let cold, _, _ = run_journaled ~path ~fingerprint:"code-A" in
   let text =
     let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
+  (* Each record is a "rec ..." header line followed by its payload. *)
+  let rec record_after from =
+    if String.sub text from 5 = "\nrec " then from + 1 else record_after (from + 1)
+  in
+  let third = record_after (record_after (record_after 0)) in
+  let payload = String.index_from text third '\n' + 1 in
   let b = Bytes.of_string text in
-  let off = Bytes.length b - 2 in
-  Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0xff));
+  Bytes.set b payload (Char.chr (Char.code (Bytes.get b payload) lxor 0x01));
   let oc = open_out_bin path in
   output_bytes oc b;
   close_out oc;
-  Alcotest.(check bool) "bit-flipped entry is a miss" true (Cache.find c k = None);
-  Alcotest.(check int) "bit flip counted" 2 (Cache.corrupt_count c)
+  let resumed, s, ran = run_journaled ~path ~fingerprint:"code-A" in
+  Alcotest.(check int) "records before the flip replay" 2 s.Engine.journal_hits;
+  Alcotest.(check int) "the rest are recomputed" 3 ran;
+  Alcotest.(check bool) "rows identical to the cold run" true (resumed = cold);
+  Sys.remove path
 
 let suite =
   [
@@ -244,8 +235,8 @@ let suite =
       test_pool_on_result_deterministic;
     Alcotest.test_case "engine: --jobs 1 = --jobs 8 on real cells" `Quick
       test_parallel_determinism;
-    Alcotest.test_case "cache: hit on same code, invalidate on new code" `Quick
-      test_cache_hits_and_fingerprint_invalidation;
-    Alcotest.test_case "cache: corrupt entry degrades to miss" `Quick
-      test_cache_corrupt_entry_is_a_miss;
+    Alcotest.test_case "journal: same build replays, new build recomputes"
+      `Quick test_journal_replays_same_build;
+    Alcotest.test_case "journal: flipped byte mid-file keeps the prefix" `Quick
+      test_journal_mid_file_flip;
   ]

@@ -123,9 +123,9 @@ let test_d004 () =
 (* ---------- D005: Marshal ---------- *)
 
 let test_d005 () =
-  check_ids "Marshal outside the cache fires" [ "D005" ]
+  check_ids "Marshal in lib/core fires" [ "D005" ]
     (lint ~path:"lib/core/x.ml" "let f v = Marshal.to_string v []");
-  check_ids "lib/exec/cache.ml is the one home" []
+  check_ids "Marshal has no home: lib/exec/cache.ml fires too" [ "D005" ]
     (lint ~path:"lib/exec/cache.ml" "let f v = Marshal.to_string v []")
 
 (* ---------- P001: prints in cell bodies ---------- *)

@@ -5,7 +5,6 @@
    the table instead of aborting the sweep. *)
 
 module Pool = Bap_exec.Pool
-module Cache = Bap_exec.Cache
 module Plan = Bap_exec.Plan
 module Engine = Bap_exec.Engine
 module Journal = Bap_exec.Journal
@@ -35,12 +34,12 @@ let plan () =
     render = ignore;
   }
 
-let collect ?cache ?journal ?supervisor ~jobs () =
+let collect ?journal ?supervisor ~jobs () =
   let rows = ref [] in
   let p = { (plan ()) with Plan.render = (fun r -> rows := r) } in
   let stats =
     Pool.with_pool ~jobs (fun pool ->
-        Engine.run ~pool ?cache ?journal ?supervisor [ p ])
+        Engine.run ~pool ?journal ?supervisor [ p ])
   in
   (!rows, stats)
 
