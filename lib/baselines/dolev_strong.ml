@@ -52,21 +52,24 @@ end = struct
     let me = R.id ctx in
     let n = R.n ctx in
     let states = List.map (fun s -> { sender = s; accepted = []; fresh = [] }) senders in
+    let by_sender = Array.make n None in
+    List.iter
+      (fun st -> if st.sender >= 0 && st.sender < n then by_sender.(st.sender) <- Some st)
+      states;
     let collect inbox ~length =
-      List.iter
-        (fun st ->
-          let chains = ref [] in
-          Bap_sim.Inbox.iter inbox ~f:(fun msgs ->
-              List.iter
-                (function
-                  | W.Ds_chain (tg, s, chain)
-                    when tg = tag && s = st.sender
-                         && W.valid_ds_chain pki ~sender:st.sender ~length chain ->
-                    chains := chain :: !chains
-                  | _ -> ())
-                msgs);
-          st.fresh <- List.rev !chains)
-        states
+      (* One pass over the inbox, each chain dispatched to its instance. *)
+      List.iter (fun st -> st.fresh <- []) states;
+      Bap_sim.Inbox.iter inbox ~f:(fun msgs ->
+          List.iter
+            (function
+              | W.Ds_chain (tg, s, chain) when tg = tag && s >= 0 && s < n -> (
+                match by_sender.(s) with
+                | Some st when W.valid_ds_chain pki ~sender:s ~length chain ->
+                  st.fresh <- chain :: st.fresh
+                | Some _ | None -> ())
+              | _ -> ())
+            msgs);
+      List.iter (fun st -> st.fresh <- List.rev st.fresh) states
     in
     let root_msgs =
       List.filter_map

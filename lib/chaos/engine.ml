@@ -47,7 +47,7 @@ module Make (V : Bap_core.Value.S) = struct
     | Auth ->
       (* Only the round-arithmetic fields of the config are read. *)
       let pki = Pki.create ~n:1 in
-      S.Wrapper.rounds (S.auth_config ~pki ~key:(Pki.key pki 0) ~t:cfg.t) ~t:cfg.t
+      S.Wrapper.rounds (S.auth_config ~pki ~key:(Pki.key pki 0) ~t:cfg.t ()) ~t:cfg.t
     | Es_baseline ->
       S.Early_stopping.rounds ~gc_rounds:S.Graded_unauth.rounds ~phases:(cfg.t + 1)
     | Pk_baseline -> Pk.rounds ~gc_rounds:S.Graded_unauth.rounds ~t:cfg.t

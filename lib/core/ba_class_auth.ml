@@ -32,6 +32,7 @@ module Make
   val max_feasible_k : n:int -> t:int -> int
 
   val run :
+    ?memo:W.memo ->
     R.ctx ->
     pki:Pki.t ->
     key:Pki.key ->
@@ -41,7 +42,9 @@ module Make
     V.t ->
     Advice.t ->
     V.t
-  (** Consumes tags [base_tag .. base_tag + 2]. *)
+  (** Consumes tags [base_tag .. base_tag + 2]. [memo] is the
+      execution's validation memo (see {!Wire.S.memo}); without one, the
+      call runs on a fresh memo of its own. *)
 end = struct
   module Bb = Bb_committee.Make (V) (W) (R)
 
@@ -55,7 +58,7 @@ end = struct
 
   module Ps = Phase_span.Make (R)
 
-  let run ctx ~pki ~key ~t ~k ~base_tag x c =
+  let run ?memo ctx ~pki ~key ~t ~k ~base_tag x c =
     Ps.run ctx "bc" @@ fun () ->
     let n = R.n ctx in
     if not (feasible ~n ~t ~k) then begin
@@ -64,6 +67,7 @@ end = struct
       x
     end
     else begin
+      let memo = match memo with Some m -> m | None -> W.memo pki in
       let me = R.id ctx in
       let quorum = t + 1 in
       let vote_tag = base_tag and bb_tag = base_tag + 1 and final_tag = base_tag + 2 in
@@ -76,11 +80,11 @@ end = struct
           l_set
       in
       let inbox = R.send_to ctx votes in
+      let my_payload = W.committee_payload me in
       let signatures =
         Inbox.firsti inbox ~f:(fun sender -> function
           | W.Committee_vote (tg, s)
-            when tg = vote_tag
-                 && Pki.verify pki ~signer:sender ~payload:(W.committee_payload me) s ->
+            when tg = vote_tag && Pki.verify pki ~signer:sender ~payload:my_payload s ->
             Some s
           | _ -> None)
       in
@@ -96,7 +100,7 @@ end = struct
         else None
       in
       (* Rounds 2 .. k+2: the n parallel broadcasts. *)
-      let bb = Bb.run_parallel ctx ~pki ~key ~t ~k ~tag:bb_tag ~cc x in
+      let bb = Bb.run_parallel ~memo ctx ~pki ~key ~t ~k ~tag:bb_tag ~cc x in
       (* Round k+3: certified members announce the plurality. *)
       let my_plurality =
         match Inbox.plurality (Inbox.votes bb) ~compare:V.compare with
@@ -112,7 +116,7 @@ end = struct
       let announcements =
         Inbox.first inbox ~f:(function
           | W.Final_value (tg, w, cert)
-            when tg = final_tag && W.valid_committee_cert pki ~quorum cert ->
+            when tg = final_tag && W.valid_committee_cert ~memo pki ~quorum cert ->
             Some (cert.W.cc_member, w)
           | _ -> None)
       in

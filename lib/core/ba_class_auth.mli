@@ -24,6 +24,7 @@ module Make
   val max_feasible_k : n:int -> t:int -> int
 
   val run :
+    ?memo:W.memo ->
     R.ctx ->
     pki:Pki.t ->
     key:Pki.key ->
@@ -33,5 +34,7 @@ module Make
     V.t ->
     Advice.t ->
     V.t
-  (** Consumes tags [base_tag .. base_tag + 2]. *)
+  (** Consumes tags [base_tag .. base_tag + 2]. [memo] is the
+      execution's validation memo (see {!Wire.S.memo}); without one, the
+      call runs on a fresh memo of its own. *)
 end

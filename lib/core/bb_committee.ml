@@ -28,6 +28,7 @@ module Make
   (** Exactly [k + 1]. *)
 
   val run_parallel :
+    ?memo:W.memo ->
     R.ctx ->
     pki:Pki.t ->
     key:Pki.key ->
@@ -39,9 +40,12 @@ module Make
     V.t option array
   (** Run n parallel instances, one per sender; this process's input is
       used in the instance where it is the sender. Slot [s] of the result
-      is instance [s]'s output ([None] is the paper's bot). *)
+      is instance [s]'s output ([None] is the paper's bot). [memo] is
+      the execution's validation memo (see {!Wire.S.memo}); without one,
+      the call runs on a fresh memo of its own. *)
 
   val run_single :
+    ?memo:W.memo ->
     R.ctx ->
     pki:Pki.t ->
     key:Pki.key ->
@@ -65,36 +69,39 @@ end = struct
 
   module Ps = Phase_span.Make (R)
 
-  let run_instances ctx ~pki ~key ~t ~k ~tag ~cc ~senders x =
+  let run_instances ?memo ctx ~pki ~key ~t ~k ~tag ~cc ~senders x =
     Ps.run ctx "bb" @@ fun () ->
+    let memo = match memo with Some m -> m | None -> W.memo pki in
     let n = R.n ctx in
     let me = R.id ctx in
     let quorum = t + 1 in
     let states = List.map (fun s -> { sender = s; accepted = []; fresh = [] }) senders in
+    let by_sender = Array.make n None in
+    List.iter
+      (fun st -> if st.sender >= 0 && st.sender < n then by_sender.(st.sender) <- Some st)
+      states;
     let has_cert =
       match cc with
       | Some cert ->
-        cert.W.cc_member = me && W.valid_committee_cert pki ~quorum cert
+        cert.W.cc_member = me && W.valid_committee_cert ~memo pki ~quorum cert
       | None -> false
     in
     let collect inbox ~length =
       (* Valid chains of the expected length per instance, from any
          transporter (validity comes from the signatures, not the
-         channel). *)
-      List.iter
-        (fun st ->
-          let chains = ref [] in
-          Bap_sim.Inbox.iter inbox ~f:(fun msgs ->
-              List.iter
-                (function
-                  | W.Bb_chain (tg, s, chain)
-                    when tg = tag && s = st.sender
-                         && W.valid_chain pki ~quorum ~sender:st.sender ~length chain ->
-                    chains := chain :: !chains
-                  | _ -> ())
-                msgs);
-          st.fresh <- List.rev !chains)
-        states
+         channel): one pass over the inbox, dispatched by sender. *)
+      List.iter (fun st -> st.fresh <- []) states;
+      Bap_sim.Inbox.iter inbox ~f:(fun msgs ->
+          List.iter
+            (function
+              | W.Bb_chain (tg, s, chain) when tg = tag && s >= 0 && s < n -> (
+                match by_sender.(s) with
+                | Some st when W.valid_chain ~memo pki ~quorum ~sender:s ~length chain ->
+                  st.fresh <- chain :: st.fresh
+                | Some _ | None -> ())
+              | _ -> ())
+            msgs);
+      List.iter (fun st -> st.fresh <- List.rev st.fresh) states
     in
     (* Round 1: certified senders start their chains. *)
     let root_msgs =
@@ -103,7 +110,7 @@ end = struct
           if st.sender = me && has_cert then begin
             st.accepted <- [ x ];
             let cert = Option.get cc in
-            let link_sig = Pki.sign key (W.chain_root_payload x cert) in
+            let link_sig = Pki.sign key (W.chain_root_payload ~memo x cert) in
             Some (W.Bb_chain (tag, me, W.Chain_root { value = x; cert; link_sig }))
           end
           else None)
@@ -126,7 +133,7 @@ end = struct
                 st.accepted <- st.accepted @ [ v ];
                 if has_cert && not (List.mem me (W.chain_signers chain)) then begin
                   let cert = Option.get cc in
-                  let link_sig = Pki.sign key (W.chain_link_payload chain cert) in
+                  let link_sig = Pki.sign key (W.chain_link_payload ~memo chain cert) in
                   extensions :=
                     W.Bb_chain
                       (tag, st.sender, W.Chain_link { prev = chain; signer = me; cert; link_sig })
@@ -156,11 +163,11 @@ end = struct
       states;
     result
 
-  let run_parallel ctx ~pki ~key ~t ~k ~tag ~cc x =
+  let run_parallel ?memo ctx ~pki ~key ~t ~k ~tag ~cc x =
     let n = R.n ctx in
-    run_instances ctx ~pki ~key ~t ~k ~tag ~cc ~senders:(List.init n (fun s -> s)) x
+    run_instances ?memo ctx ~pki ~key ~t ~k ~tag ~cc ~senders:(List.init n (fun s -> s)) x
 
-  let run_single ctx ~pki ~key ~t ~k ~tag ~cc ~sender x =
-    let result = run_instances ctx ~pki ~key ~t ~k ~tag ~cc ~senders:[ sender ] x in
+  let run_single ?memo ctx ~pki ~key ~t ~k ~tag ~cc ~sender x =
+    let result = run_instances ?memo ctx ~pki ~key ~t ~k ~tag ~cc ~senders:[ sender ] x in
     result.(sender)
 end

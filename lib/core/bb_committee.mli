@@ -20,6 +20,7 @@ module Make
   (** Exactly [k + 1]. *)
 
   val run_parallel :
+    ?memo:W.memo ->
     R.ctx ->
     pki:Pki.t ->
     key:Pki.key ->
@@ -31,9 +32,12 @@ module Make
     V.t option array
   (** Run n parallel instances, one per sender; this process's input is
       used in the instance where it is the sender. Slot [s] of the result
-      is instance [s]'s output ([None] is the paper's bot). *)
+      is instance [s]'s output ([None] is the paper's bot). [memo] is
+      the execution's validation memo (see {!Wire.S.memo}); without one,
+      the call runs on a fresh memo of its own. *)
 
   val run_single :
+    ?memo:W.memo ->
     R.ctx ->
     pki:Pki.t ->
     key:Pki.key ->

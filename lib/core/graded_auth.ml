@@ -47,6 +47,7 @@
 
 module Pki = Bap_crypto.Pki
 module Inbox = Bap_sim.Inbox
+module Bitset = Bap_sim.Bitset
 
 module Make
     (V : Value.S)
@@ -56,73 +57,99 @@ module Make
   (** Always 3. *)
 
   val gradecast :
-    R.ctx -> pki:Pki.t -> key:Pki.key -> t:int -> tag:W.tag -> V.t -> (V.t * int) option array
+    ?memo:W.memo ->
+    R.ctx ->
+    pki:Pki.t ->
+    key:Pki.key ->
+    t:int ->
+    tag:W.tag ->
+    V.t ->
+    (V.t * int) option array
   (** The underlying n-dealer signed gradecast: slot [d] holds process
       [d]'s delivered [(value, level)] with level 2 or 1, or [None] for
       bot. For t < n/2: an honest dealer is delivered at level 2 by
       everyone, and a level-2 delivery at any honest process forces a
       level >= 1 delivery of the same value at every honest process. *)
 
-  val run : R.ctx -> pki:Pki.t -> key:Pki.key -> t:int -> tag:W.tag -> V.t -> V.t * int
-  (** Requires t < n/2 for the guarantees. Consumes one tag. *)
+  val run :
+    ?memo:W.memo -> R.ctx -> pki:Pki.t -> key:Pki.key -> t:int -> tag:W.tag -> V.t -> V.t * int
+  (** Requires t < n/2 for the guarantees. Consumes one tag. [memo] is
+      the execution's validation memo (see {!Wire.S.memo}); without one,
+      the call runs on a fresh memo of its own. *)
 end = struct
   let rounds = 3
+
+  (* The echoes collected for one (dealer, value) pair: a bitset of the
+     distinct echoers and their signatures, newest first. *)
+  type tally = {
+    echoers : Bitset.t;
+    mutable count : int;
+    mutable sigs : (int * Pki.signature) list;
+  }
 
   (* Per-dealer bookkeeping during one run. *)
   type dealer_state = {
     mutable proposals : (V.t * W.signed_value) list;  (* distinct values seen, dealer-signed *)
-    mutable echoes : (V.t * (int * Pki.signature) list) list;  (* per value: distinct echoers *)
+    mutable echoes : (V.t * tally) list;  (* per value, most recently extended first *)
     mutable certs : (V.t * W.echo_cert) list;  (* distinct values with a valid certificate *)
     mutable direct : W.signed_value option;  (* round-1 proposal received from the dealer *)
   }
 
-  let gradecast ctx ~pki ~key ~t ~tag v =
+  let gradecast ?memo ctx ~pki ~key ~t ~tag v =
+    let memo = match memo with Some m -> m | None -> W.memo pki in
     let n = R.n ctx in
     let quorum = n - t in
     let states =
       Array.init n (fun _ -> { proposals = []; echoes = []; certs = []; direct = None })
     in
+    (* Dealer ids come off the wire: range-check before indexing. *)
+    let dealer_ok d = d >= 0 && d < n in
     let note_proposal d (sv : W.signed_value) =
       (* Cheap structural checks before any signature verification: the
          same proposal arrives from up to n senders per round. *)
-      if sv.W.sv_dealer = d then begin
+      if dealer_ok d && sv.W.sv_dealer = d then begin
         let st = states.(d) in
         if
           (not (List.exists (fun (w, _) -> V.equal w sv.W.sv_value) st.proposals))
-          && W.valid_signed_value pki sv
+          && W.valid_signed_value ~memo pki sv
         then st.proposals <- (sv.W.sv_value, sv) :: st.proposals
       end
     in
     let note_echo d echoer (sv : W.signed_value) echo_sig =
-      if sv.W.sv_dealer = d then begin
+      if dealer_ok d && sv.W.sv_dealer = d then begin
         let st = states.(d) in
-        let existing =
-          match List.find_opt (fun (w, _) -> V.equal w sv.W.sv_value) st.echoes with
-          | Some (_, es) -> es
-          | None -> []
+        let v' = sv.W.sv_value in
+        let tally =
+          List.find_map (fun (w, ta) -> if V.equal w v' then Some ta else None) st.echoes
         in
-        let sv_known_valid =
-          List.exists (fun (w, _) -> V.equal w sv.W.sv_value) st.proposals
-        in
+        let sv_known_valid = List.exists (fun (w, _) -> V.equal w v') st.proposals in
         if
-          (not (List.mem_assoc echoer existing))
-          && (sv_known_valid || W.valid_signed_value pki sv)
-          && Pki.verify pki ~signer:echoer ~payload:(W.echo_payload sv) echo_sig
+          (match tally with Some ta -> not (Bitset.mem ta.echoers echoer) | None -> true)
+          && (sv_known_valid || W.valid_signed_value ~memo pki sv)
+          && Pki.verify pki ~signer:echoer ~payload:(W.echo_payload ~memo ~dealer:d v') echo_sig
         then begin
           note_proposal d sv;
-          st.echoes <-
-            (sv.W.sv_value, (echoer, echo_sig) :: existing)
-            :: List.filter (fun (w, _) -> not (V.equal w sv.W.sv_value)) st.echoes
+          let ta =
+            match tally with
+            | Some ta -> ta
+            | None -> { echoers = Bitset.create n; count = 0; sigs = [] }
+          in
+          Bitset.set ta.echoers echoer;
+          ta.count <- ta.count + 1;
+          ta.sigs <- (echoer, echo_sig) :: ta.sigs;
+          match st.echoes with
+          | (_, head) :: _ when head == ta -> ()
+          | _ -> st.echoes <- (v', ta) :: List.filter (fun (_, other) -> other != ta) st.echoes
         end
       end
     in
     let note_cert d (cert : W.echo_cert) =
-      if cert.W.ec_signed.W.sv_dealer = d then begin
+      if dealer_ok d && cert.W.ec_signed.W.sv_dealer = d then begin
         let st = states.(d) in
         let v' = cert.W.ec_signed.W.sv_value in
         if
           (not (List.exists (fun (w, _) -> V.equal w v') st.certs))
-          && W.valid_echo_cert pki ~threshold:quorum cert
+          && W.valid_echo_cert ~memo pki ~threshold:quorum cert
         then begin
           note_proposal d cert.W.ec_signed;
           st.certs <- (v', cert) :: st.certs
@@ -135,7 +162,7 @@ end = struct
       {
         W.sv_dealer = me;
         sv_value = v;
-        sv_sig = Pki.sign key (W.dealer_payload ~dealer:me v);
+        sv_sig = Pki.sign key (W.dealer_payload ~memo ~dealer:me v);
       }
     in
     let inbox1 = R.broadcast ctx (W.Gcast_init (tag, my_sv)) in
@@ -143,7 +170,7 @@ end = struct
         List.iter
           (function
             | W.Gcast_init (tg, sv)
-              when tg = tag && sv.W.sv_dealer = sender && W.valid_signed_value pki sv ->
+              when tg = tag && sv.W.sv_dealer = sender && W.valid_signed_value ~memo pki sv ->
               note_proposal sender sv;
               if Option.is_none states.(sender).direct then states.(sender).direct <- Some sv
             | _ -> ())
@@ -155,7 +182,8 @@ end = struct
           match st.direct with
           | None -> None
           | Some sv ->
-            Some { W.ge_signed = sv; ge_sig = Pki.sign key (W.echo_payload sv) })
+            let payload = W.echo_payload ~memo ~dealer:sv.W.sv_dealer sv.W.sv_value in
+            Some { W.ge_signed = sv; ge_sig = Pki.sign key payload })
         (Array.to_list states)
     in
     let inbox2 = R.broadcast ctx (W.Gcast_echo (tag, my_echoes)) in
@@ -174,14 +202,14 @@ end = struct
     Array.iteri
       (fun d st ->
         List.iter
-          (fun (w, echoers) ->
-            if List.length echoers >= quorum && Option.is_none own_cert_round2.(d) then begin
+          (fun (w, ta) ->
+            if ta.count >= quorum && Option.is_none own_cert_round2.(d) then begin
               let signed =
                 match List.find_opt (fun (w', _) -> V.equal w w') st.proposals with
                 | Some (_, sv) -> sv
                 | None -> assert false
               in
-              let cert = { W.ec_signed = signed; ec_echoes = echoers } in
+              let cert = { W.ec_signed = signed; ec_echoes = ta.sigs } in
               own_cert_round2.(d) <- Some cert;
               note_cert d cert
             end)
@@ -216,7 +244,8 @@ end = struct
                     | Some (a, b)
                       when a.W.sv_dealer = d && b.W.sv_dealer = d
                            && (not (V.equal a.W.sv_value b.W.sv_value))
-                           && W.valid_signed_value pki a && W.valid_signed_value pki b ->
+                           && W.valid_signed_value ~memo pki a
+                           && W.valid_signed_value ~memo pki b ->
                       note_proposal d a;
                       note_proposal d b
                     | _ -> ()
@@ -238,11 +267,11 @@ end = struct
 
   module Ps = Phase_span.Make (R)
 
-  let run ctx ~pki ~key ~t ~tag v =
+  let run ?memo ctx ~pki ~key ~t ~tag v =
     Ps.run ctx "gc" @@ fun () ->
     let n = R.n ctx in
     let quorum = n - t in
-    let deliveries = gradecast ctx ~pki ~key ~t ~tag v in
+    let deliveries = gradecast ?memo ctx ~pki ~key ~t ~tag v in
     (* Graded consensus decision. *)
     let level_count ~min_level w =
       Array.fold_left

@@ -14,13 +14,23 @@ module Make
   (** Always 3. *)
 
   val gradecast :
-    R.ctx -> pki:Pki.t -> key:Pki.key -> t:int -> tag:W.tag -> V.t -> (V.t * int) option array
+    ?memo:W.memo ->
+    R.ctx ->
+    pki:Pki.t ->
+    key:Pki.key ->
+    t:int ->
+    tag:W.tag ->
+    V.t ->
+    (V.t * int) option array
   (** The underlying n-dealer signed gradecast: slot [d] holds process
       [d]'s delivered [(value, level)] with level 2 or 1, or [None] for
       bot. For t < n/2: an honest dealer is delivered at level 2 by
       everyone, and a level-2 delivery at any honest process forces a
       level >= 1 delivery of the same value at every honest process. *)
 
-  val run : R.ctx -> pki:Pki.t -> key:Pki.key -> t:int -> tag:W.tag -> V.t -> V.t * int
-  (** Requires t < n/2 for the guarantees. Consumes one tag. *)
+  val run :
+    ?memo:W.memo -> R.ctx -> pki:Pki.t -> key:Pki.key -> t:int -> tag:W.tag -> V.t -> V.t * int
+  (** Requires t < n/2 for the guarantees. Consumes one tag. [memo] is
+      the execution's validation memo (see {!Wire.S.memo}); without one,
+      the call runs on a fresh memo of its own. *)
 end

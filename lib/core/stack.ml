@@ -39,13 +39,14 @@ module Make (V : Value.S) = struct
       ablate_bc = false;
     }
 
-  let auth_config ~pki ~key ~t : Wrapper.config =
+  let auth_config ?memo ~pki ~key ~t () : Wrapper.config =
     {
       classify = Classify_p.run;
-      gc = (fun ctx ~tag v -> Graded_auth.run ctx ~pki ~key ~t ~tag v);
+      gc = (fun ctx ~tag v -> Graded_auth.run ?memo ctx ~pki ~key ~t ~tag v);
       gc_rounds = Graded_auth.rounds;
       bc =
-        (fun ctx ~k ~base_tag v c -> Ba_class_auth.run ctx ~pki ~key ~t ~k ~base_tag v c);
+        (fun ctx ~k ~base_tag v c ->
+          Ba_class_auth.run ?memo ctx ~pki ~key ~t ~k ~base_tag v c);
       bc_rounds = (fun ~k -> Ba_class_auth.rounds ~k);
       bc_tags = (fun ~k:_ -> 3);
       ablate_es = false;
@@ -86,6 +87,9 @@ module Make (V : Value.S) = struct
       ~faulty ~inputs ~advice () : V.t Wrapper.result R.outcome * Pki.t =
     let n = check_args ~t ~faulty ~inputs ~advice in
     let pki = Pki.create ~n in
+    (* One validation memo per execution, shared by all n processes and
+       never handed to the adversary. *)
+    let memo = W.memo pki in
     let adversary =
       match adversary with Some make -> make pki | None -> Adversary.passive
     in
@@ -97,7 +101,7 @@ module Make (V : Value.S) = struct
           let value_prediction =
             Option.map (fun (preds : V.t array) -> preds.(i)) value_predictions
           in
-          Wrapper.run ?value_prediction (auth_config ~pki ~key ~t) ctx ~t inputs.(i)
+          Wrapper.run ?value_prediction (auth_config ~memo ~pki ~key ~t ()) ctx ~t inputs.(i)
             advice.(i))
     in
     (outcome, pki)

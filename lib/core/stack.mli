@@ -30,8 +30,11 @@ module Make (V : Value.S) : sig
   val unauth_config : t:int -> Wrapper.config
   (** Theorem 11: unauthenticated components (t < n/3). *)
 
-  val auth_config : pki:Pki.t -> key:Pki.key -> t:int -> Wrapper.config
-  (** Theorem 12: authenticated components (t < n/2). *)
+  val auth_config : ?memo:W.memo -> pki:Pki.t -> key:Pki.key -> t:int -> unit -> Wrapper.config
+  (** Theorem 12: authenticated components (t < n/2). [memo] is the
+      execution's validation memo, shared by all of its processes (see
+      {!Wire.S.memo}); without one, every component call runs on a fresh
+      memo of its own. *)
 
   val no_vote_classify : R.ctx -> Advice.t -> Advice.t
   (** Ablation: skip the classification vote and trust the raw advice
@@ -74,7 +77,8 @@ module Make (V : Value.S) : sig
     V.t Wrapper.result R.outcome * Pki.t
   (** Same for the authenticated stack. A fresh PKI is created per run
       and returned; the adversary constructor receives it so corrupted
-      processes can sign with their own keys. *)
+      processes can sign with their own keys. One validation memo is
+      created beside it and shared by the honest processes only. *)
 
   (** {1 Metric helpers} *)
 

@@ -63,23 +63,38 @@ module type S = sig
     | Ds_chain of tag * int * ds_chain  (** Baseline Dolev-Strong broadcast instance. *)
     | Final_value of tag * value * committee_cert
 
-  (* Signature payloads. *)
+  (* Per-execution validation memo. *)
+
+  type memo
+  (** What one execution has already encoded and checked, shared by all
+      of its processes: each (dealer, value) pair's gradecast payloads,
+      each committee certificate's validity and encoding, and each chain
+      node's link check and encoding. Certificates and chain nodes are
+      keyed by physical identity, so a structurally equal copy is checked
+      afresh. *)
+
+  val memo : Pki.t -> memo
+  (** An empty memo for one execution under [pki]. The validators below
+      raise [Invalid_argument] when given a memo of another PKI. *)
+
+  (* Signature payloads. Given a memo, each is encoded once per
+     execution. *)
 
   val committee_payload : int -> string
-  val dealer_payload : dealer:int -> value -> string
-  val echo_payload : signed_value -> string
-  val chain_root_payload : value -> committee_cert -> string
-  val chain_link_payload : chain -> committee_cert -> string
+  val dealer_payload : ?memo:memo -> dealer:int -> value -> string
+  val echo_payload : ?memo:memo -> dealer:int -> value -> string
+  val chain_root_payload : ?memo:memo -> value -> committee_cert -> string
+  val chain_link_payload : ?memo:memo -> chain -> committee_cert -> string
 
-  (* Validation. *)
+  (* Validation. Without a memo, each call runs on a fresh one. *)
 
-  val valid_signed_value : Pki.t -> signed_value -> bool
+  val valid_signed_value : ?memo:memo -> Pki.t -> signed_value -> bool
 
-  val valid_echo_cert : Pki.t -> threshold:int -> echo_cert -> bool
+  val valid_echo_cert : ?memo:memo -> Pki.t -> threshold:int -> echo_cert -> bool
   (** Valid iff it carries [threshold] echo signatures by distinct
       processes over a valid dealer signature. *)
 
-  val valid_committee_cert : Pki.t -> quorum:int -> committee_cert -> bool
+  val valid_committee_cert : ?memo:memo -> Pki.t -> quorum:int -> committee_cert -> bool
   (** Valid iff it carries [quorum] signatures by distinct processes on
       [committee_payload cc_member]. *)
 
@@ -92,7 +107,8 @@ module type S = sig
 
   val chain_length : chain -> int
 
-  val valid_chain : Pki.t -> quorum:int -> sender:int -> length:int -> chain -> bool
+  val valid_chain :
+    ?memo:memo -> Pki.t -> quorum:int -> sender:int -> length:int -> chain -> bool
   (** A valid message chain of exactly [length] links started by
       [sender]: every link is correctly signed by a distinct process that
       carries a valid committee certificate ([quorum] = t + 1). *)
@@ -174,11 +190,11 @@ module Make (V : Value.S) : S with type value = V.t = struct
 
   let committee_payload member = Encode.tagged "committee" (Encode.int member)
 
-  let dealer_payload ~dealer v =
+  let build_dealer_payload ~dealer v =
     Encode.tagged "dealer" (Encode.pair (Encode.int dealer) (V.encode v))
 
-  let echo_payload sv =
-    Encode.tagged "echo" (Encode.pair (Encode.int sv.sv_dealer) (V.encode sv.sv_value))
+  let build_echo_payload ~dealer v =
+    Encode.tagged "echo" (Encode.pair (Encode.int dealer) (V.encode v))
 
   let encode_committee_cert cert =
     Encode.pair
@@ -188,52 +204,169 @@ module Make (V : Value.S) : S with type value = V.t = struct
             (fun (signer, s) -> Encode.pair (Encode.int signer) (Encode.str (Pki.encode s)))
             cert.cc_sigs))
 
-  let chain_root_payload v cert =
-    Encode.tagged "chain-root" (Encode.pair (V.encode v) (encode_committee_cert cert))
-
-  let rec encode_chain = function
-    | Chain_root { value; cert; link_sig } ->
+  (* One chain node's encoding, given how to encode its prefix and its
+     certificate: the plain and the memoised encoder share it. *)
+  let encode_node ~chain ~cert = function
+    | Chain_root { value; cert = c; link_sig } ->
       Encode.tagged "root"
-        (Encode.triple (V.encode value) (encode_committee_cert cert)
-           (Encode.str (Pki.encode link_sig)))
-    | Chain_link { prev; signer; cert; link_sig } ->
+        (Encode.triple (V.encode value) (cert c) (Encode.str (Pki.encode link_sig)))
+    | Chain_link { prev; signer; cert = c; link_sig } ->
       Encode.tagged "link"
-        (Encode.list
-           [
-             encode_chain prev;
-             Encode.int signer;
-             encode_committee_cert cert;
-             Encode.str (Pki.encode link_sig);
-           ])
+        (Encode.list [ chain prev; Encode.int signer; cert c; Encode.str (Pki.encode link_sig) ])
 
-  let chain_link_payload prev cert =
-    Encode.tagged "chain-link" (Encode.pair (encode_chain prev) (encode_committee_cert cert))
-
-  let valid_signed_value pki sv =
-    Pki.verify pki ~signer:sv.sv_dealer
-      ~payload:(dealer_payload ~dealer:sv.sv_dealer sv.sv_value)
-      sv.sv_sig
+  let rec encode_chain node = encode_node ~chain:encode_chain ~cert:encode_committee_cert node
 
   let distinct_signers sigs =
     let signers = List.map fst sigs in
     List.length (List.sort_uniq Int.compare signers) = List.length signers
 
-  let valid_echo_cert pki ~threshold cert =
-    valid_signed_value pki cert.ec_signed
+  (* -- The per-execution memo --
+
+     Buckets are indexed by process id (dealer, certificate member, link
+     signer); ids outside [0, n) share one overflow bucket. Within a
+     bucket, certificates and chain nodes match by physical identity and
+     payloads by (dealer, value). Entries are never evicted: a memo lives
+     exactly as long as its execution. *)
+
+  type payload_entry = { pe_dealer : int; pe_value : value; pe_sign : string; pe_echo : string }
+
+  type cert_entry = {
+    ce_cert : committee_cert;
+    ce_sigs_ok : bool;  (* distinct signers, each signature verifies *)
+    mutable ce_enc : string option;
+  }
+
+  type node_entry = {
+    ne_node : chain;
+    mutable ne_link_ok : bool option;  (* this node's own link signature *)
+    mutable ne_enc : string option;
+  }
+
+  type memo = {
+    pki : Pki.t;
+    payloads : payload_entry list array;
+    certs : cert_entry list array;
+    nodes : node_entry list array;
+  }
+
+  let memo pki =
+    let buckets = Pki.n pki + 1 in
+    {
+      pki;
+      payloads = Array.make buckets [];
+      certs = Array.make buckets [];
+      nodes = Array.make buckets [];
+    }
+
+  let bucket m id = if id >= 0 && id < Pki.n m.pki then id else Pki.n m.pki
+
+  let resolve ?memo:m pki =
+    match m with
+    | None -> memo pki
+    | Some m when m.pki == pki -> m
+    | Some _ -> invalid_arg "Wire: memo of another PKI"
+
+  let lookup table b ~matches ~create =
+    match List.find_opt matches table.(b) with
+    | Some e -> e
+    | None ->
+      let e = create () in
+      table.(b) <- e :: table.(b);
+      e
+
+  let payload_entry m ~dealer v =
+    lookup m.payloads (bucket m dealer)
+      ~matches:(fun e -> e.pe_dealer = dealer && V.equal e.pe_value v)
+      ~create:(fun () ->
+        {
+          pe_dealer = dealer;
+          pe_value = v;
+          pe_sign = build_dealer_payload ~dealer v;
+          pe_echo = build_echo_payload ~dealer v;
+        })
+
+  let cert_entry m cert =
+    lookup m.certs (bucket m cert.cc_member)
+      ~matches:(fun e -> e.ce_cert == cert)
+      ~create:(fun () ->
+        let payload = committee_payload cert.cc_member in
+        {
+          ce_cert = cert;
+          ce_sigs_ok =
+            distinct_signers cert.cc_sigs
+            && List.for_all (fun (signer, s) -> Pki.verify m.pki ~signer ~payload s) cert.cc_sigs;
+          ce_enc = None;
+        })
+
+  let node_entry m node =
+    let id = match node with Chain_root { cert; _ } -> cert.cc_member | Chain_link l -> l.signer in
+    lookup m.nodes (bucket m id)
+      ~matches:(fun e -> e.ne_node == node)
+      ~create:(fun () -> { ne_node = node; ne_link_ok = None; ne_enc = None })
+
+  let cert_encoding m cert =
+    let e = cert_entry m cert in
+    match e.ce_enc with
+    | Some s -> s
+    | None ->
+      let s = encode_committee_cert cert in
+      e.ce_enc <- Some s;
+      s
+
+  let rec chain_encoding m node =
+    let e = node_entry m node in
+    match e.ne_enc with
+    | Some s -> s
+    | None ->
+      let s = encode_node ~chain:(chain_encoding m) ~cert:(cert_encoding m) node in
+      e.ne_enc <- Some s;
+      s
+
+  (* -- Signature payloads -- *)
+
+  let dealer_payload ?memo ~dealer v =
+    match memo with
+    | Some m -> (payload_entry m ~dealer v).pe_sign
+    | None -> build_dealer_payload ~dealer v
+
+  let echo_payload ?memo ~dealer v =
+    match memo with
+    | Some m -> (payload_entry m ~dealer v).pe_echo
+    | None -> build_echo_payload ~dealer v
+
+  let chain_root_payload ?memo v cert =
+    let cert_enc =
+      match memo with Some m -> cert_encoding m cert | None -> encode_committee_cert cert
+    in
+    Encode.tagged "chain-root" (Encode.pair (V.encode v) cert_enc)
+
+  let chain_link_payload ?memo prev cert =
+    let prev_enc, cert_enc =
+      match memo with
+      | Some m -> (chain_encoding m prev, cert_encoding m cert)
+      | None -> (encode_chain prev, encode_committee_cert cert)
+    in
+    Encode.tagged "chain-link" (Encode.pair prev_enc cert_enc)
+
+  (* -- Validation -- *)
+
+  let valid_signed_value ?memo pki sv =
+    Pki.verify pki ~signer:sv.sv_dealer
+      ~payload:(dealer_payload ?memo ~dealer:sv.sv_dealer sv.sv_value)
+      sv.sv_sig
+
+  let valid_echo_cert ?memo pki ~threshold cert =
+    let sv = cert.ec_signed in
+    valid_signed_value ?memo pki sv
     && List.length cert.ec_echoes >= threshold
     && distinct_signers cert.ec_echoes
-    && List.for_all
-         (fun (echoer, s) ->
-           Pki.verify pki ~signer:echoer ~payload:(echo_payload cert.ec_signed) s)
-         cert.ec_echoes
+    &&
+    let payload = echo_payload ?memo ~dealer:sv.sv_dealer sv.sv_value in
+    List.for_all (fun (echoer, s) -> Pki.verify pki ~signer:echoer ~payload s) cert.ec_echoes
 
-  let valid_committee_cert pki ~quorum cert =
-    List.length cert.cc_sigs >= quorum
-    && distinct_signers cert.cc_sigs
-    && List.for_all
-         (fun (signer, s) ->
-           Pki.verify pki ~signer ~payload:(committee_payload cert.cc_member) s)
-         cert.cc_sigs
+  let cert_ok m ~quorum cert = List.length cert.cc_sigs >= quorum && (cert_entry m cert).ce_sigs_ok
+
+  let valid_committee_cert ?memo pki ~quorum cert = cert_ok (resolve ?memo pki) ~quorum cert
 
   let rec chain_value = function
     | Chain_root { value; _ } -> value
@@ -251,36 +384,57 @@ module Make (V : Value.S) : S with type value = V.t = struct
     | Chain_root _ -> 1
     | Chain_link { prev; _ } -> 1 + chain_length prev
 
-  let rec valid_links pki ~quorum = function
-    | Chain_root { value; cert; link_sig } ->
-      valid_committee_cert pki ~quorum cert
-      && Pki.verify pki ~signer:cert.cc_member ~payload:(chain_root_payload value cert) link_sig
-    | Chain_link { prev; signer; cert; link_sig } ->
-      cert.cc_member = signer
-      && valid_committee_cert pki ~quorum cert
-      && Pki.verify pki ~signer ~payload:(chain_link_payload prev cert) link_sig
-      && valid_links pki ~quorum prev
+  (* A node's own link: signed by its certificate's member over the
+     memoised encoding of its prefix, checked once per memo. *)
+  let link_ok m node =
+    let e = node_entry m node in
+    match e.ne_link_ok with
+    | Some ok -> ok
+    | None ->
+      let ok =
+        match node with
+        | Chain_root { value; cert; link_sig } ->
+          Pki.verify m.pki ~signer:cert.cc_member
+            ~payload:(chain_root_payload ~memo:m value cert)
+            link_sig
+        | Chain_link { prev; signer; cert; link_sig } ->
+          cert.cc_member = signer
+          && Pki.verify m.pki ~signer ~payload:(chain_link_payload ~memo:m prev cert) link_sig
+      in
+      e.ne_link_ok <- Some ok;
+      ok
 
-  let valid_chain pki ~quorum ~sender ~length chain =
+  let rec valid_links m ~quorum node =
+    match node with
+    | Chain_root { cert; _ } -> cert_ok m ~quorum cert && link_ok m node
+    | Chain_link { prev; cert; _ } ->
+      cert_ok m ~quorum cert && link_ok m node && valid_links m ~quorum prev
+
+  let valid_chain ?memo pki ~quorum ~sender ~length chain =
     chain_length chain = length
     && chain_sender chain = sender
     && (let signers = chain_signers chain in
         List.length (List.sort_uniq Int.compare signers) = List.length signers)
-    && valid_links pki ~quorum chain
+    && valid_links (resolve ?memo pki) ~quorum chain
 
   let ds_root_payload ~sender v =
     Encode.tagged "ds-root" (Encode.pair (Encode.int sender) (V.encode v))
 
-  let rec encode_ds_chain = function
+  (* One Dolev-Strong node's encoding, given its prefix's. *)
+  let encode_ds_node ~prev_enc = function
     | Ds_root { sender; value; link_sig } ->
       Encode.tagged "ds-root"
         (Encode.triple (Encode.int sender) (V.encode value) (Encode.str (Pki.encode link_sig)))
-    | Ds_link { prev; signer; link_sig } ->
+    | Ds_link { prev = _; signer; link_sig } ->
       Encode.tagged "ds-link"
-        (Encode.triple (encode_ds_chain prev) (Encode.int signer)
-           (Encode.str (Pki.encode link_sig)))
+        (Encode.triple prev_enc (Encode.int signer) (Encode.str (Pki.encode link_sig)))
 
-  let ds_link_payload prev = Encode.tagged "ds-link" (encode_ds_chain prev)
+  let rec encode_ds_chain = function
+    | Ds_root _ as node -> encode_ds_node ~prev_enc:"" node
+    | Ds_link { prev; _ } as node -> encode_ds_node ~prev_enc:(encode_ds_chain prev) node
+
+  let ds_link_payload_of prev_enc = Encode.tagged "ds-link" prev_enc
+  let ds_link_payload prev = ds_link_payload_of (encode_ds_chain prev)
 
   let rec ds_chain_value = function
     | Ds_root { value; _ } -> value
@@ -298,12 +452,28 @@ module Make (V : Value.S) : S with type value = V.t = struct
     | Ds_root _ -> 1
     | Ds_link { prev; _ } -> 1 + ds_chain_length prev
 
-  let rec valid_ds_links pki = function
-    | Ds_root { sender; value; link_sig } ->
-      Pki.verify pki ~signer:sender ~payload:(ds_root_payload ~sender value) link_sig
-    | Ds_link { prev; signer; link_sig } ->
-      Pki.verify pki ~signer ~payload:(ds_link_payload prev) link_sig
-      && valid_ds_links pki prev
+  (* Root first: each link is checked against its prefix's encoding, so
+     a chain of length L costs L encodings, not L^2. [check] is the
+     (lazy) encoding of a node whose links all verify. *)
+  let valid_ds_links pki chain =
+    let rec check node =
+      let prev_enc =
+        match node with
+        | Ds_root _ -> Some ""
+        | Ds_link { prev; _ } -> Option.map Lazy.force (check prev)
+      in
+      let own_ok prev_enc =
+        match node with
+        | Ds_root { sender; value; link_sig } ->
+          Pki.verify pki ~signer:sender ~payload:(ds_root_payload ~sender value) link_sig
+        | Ds_link { signer; link_sig; _ } ->
+          Pki.verify pki ~signer ~payload:(ds_link_payload_of prev_enc) link_sig
+      in
+      match prev_enc with
+      | Some prev_enc when own_ok prev_enc -> Some (lazy (encode_ds_node ~prev_enc node))
+      | Some _ | None -> None
+    in
+    Option.is_some (check chain)
 
   let valid_ds_chain pki ~sender ~length chain =
     ds_chain_length chain = length

@@ -62,23 +62,45 @@ module type S = sig
     | Ds_chain of tag * int * ds_chain  (** Baseline Dolev-Strong broadcast instance. *)
     | Final_value of tag * value * committee_cert
 
-  (** {1 Signature payloads} *)
+  (** {1 Per-execution validation memo} *)
+
+  type memo
+  (** What one execution has already encoded and checked, shared by all
+      of its processes: each (dealer, value) pair's gradecast payloads,
+      each committee certificate's validity and encoding, and each chain
+      node's link check and encoding. Certificates and chain nodes are
+      keyed by physical identity, so a structurally equal copy is checked
+      afresh. Sound because {!Pki.verify} is pure and wire values are
+      immutable; the harness never hands a memo to the adversary. *)
+
+  val memo : Pki.t -> memo
+  (** An empty memo for one execution under [pki]. The validators below
+      raise [Invalid_argument] when given a memo of another PKI. *)
+
+  (** {1 Signature payloads}
+
+      Given a memo, each payload is encoded once per execution. Payloads
+      carry no instance tag, so a (dealer, value) pair encodes to the same
+      bytes in every gradecast of an execution. *)
 
   val committee_payload : int -> string
-  val dealer_payload : dealer:int -> value -> string
-  val echo_payload : signed_value -> string
-  val chain_root_payload : value -> committee_cert -> string
-  val chain_link_payload : chain -> committee_cert -> string
+  val dealer_payload : ?memo:memo -> dealer:int -> value -> string
+  val echo_payload : ?memo:memo -> dealer:int -> value -> string
+  val chain_root_payload : ?memo:memo -> value -> committee_cert -> string
+  val chain_link_payload : ?memo:memo -> chain -> committee_cert -> string
 
-  (** {1 Validation} *)
+  (** {1 Validation}
 
-  val valid_signed_value : Pki.t -> signed_value -> bool
+      Without a memo, each call runs on a fresh one: there is one
+      validator, and the uncached call is its memoised path. *)
 
-  val valid_echo_cert : Pki.t -> threshold:int -> echo_cert -> bool
+  val valid_signed_value : ?memo:memo -> Pki.t -> signed_value -> bool
+
+  val valid_echo_cert : ?memo:memo -> Pki.t -> threshold:int -> echo_cert -> bool
   (** Valid iff it carries [threshold] echo signatures by distinct
       processes over a valid dealer signature. *)
 
-  val valid_committee_cert : Pki.t -> quorum:int -> committee_cert -> bool
+  val valid_committee_cert : ?memo:memo -> Pki.t -> quorum:int -> committee_cert -> bool
   (** Valid iff it carries [quorum] signatures by distinct processes on
       [committee_payload cc_member]. *)
 
@@ -92,7 +114,8 @@ module type S = sig
 
   val chain_length : chain -> int
 
-  val valid_chain : Pki.t -> quorum:int -> sender:int -> length:int -> chain -> bool
+  val valid_chain :
+    ?memo:memo -> Pki.t -> quorum:int -> sender:int -> length:int -> chain -> bool
   (** A valid message chain of exactly [length] links started by
       [sender]: every link is correctly signed by a distinct process that
       carries a valid committee certificate ([quorum] = t + 1). *)

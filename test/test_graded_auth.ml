@@ -114,6 +114,96 @@ let prop_coherence =
       let decisions, _ = run_gc ~adversary ~n ~t ~faulty inputs in
       coherent decisions)
 
+(* A faulty echoer whose round-2 echoes name [dealer], which lies
+   outside [0, n): honest processes must drop them, not index by them. *)
+let out_of_range_echoer ~dealer _pki : Helpers.S.W.t Bap_sim.Adversary.t =
+  Adversary.
+    {
+      name = "out-of-range-echoer";
+      make =
+        (fun ~n:_ ~faulty:_ ->
+          let rename (e : S.W.gcast_echo) =
+            { e with S.W.ge_signed = { e.S.W.ge_signed with S.W.sv_dealer = dealer } }
+          in
+          let filter _view ~src:_ outbox dst =
+            List.map
+              (function
+                | S.W.Gcast_echo (tg, echoes) -> S.W.Gcast_echo (tg, List.map rename echoes)
+                | m -> m)
+              (outbox dst)
+          in
+          handlers ~filter ());
+    }
+
+let test_out_of_range_dealer () =
+  let n = 5 and t = 2 in
+  List.iter
+    (fun dealer ->
+      let decisions, _ =
+        run_gc ~adversary:(out_of_range_echoer ~dealer) ~n ~t ~faulty:[| 4 |] (Array.make n 3)
+      in
+      Alcotest.(check int) (Printf.sprintf "dealer %d: all honest decide" dealer) (n - 1)
+        (List.length decisions);
+      List.iter
+        (fun (_, d) ->
+          Alcotest.(check (pair int int)) (Printf.sprintf "dealer %d: unanimity" dealer) (3, 1) d)
+        decisions)
+    [ n; -1 ]
+
+(* Dealer 0 sends 100 to processes 1-3 only, and stays silent
+   afterwards. Faulty echoer 1 sends its echo of 100 in [copies]
+   messages, twice in each. The distinct echoers {1, 2, 3} fall short of
+   the quorum n - t = 4, so no process may assemble a certificate;
+   counting the repeats would deliver 100 at level 2. *)
+let repeated_echoer ~copies pki : Helpers.S.W.t Bap_sim.Adversary.t =
+  Adversary.
+    {
+      name = "repeated-echoer";
+      make =
+        (fun ~n:_ ~faulty:_ ->
+          let filter (view : _ Adversary.view) ~src outbox dst =
+            match (src, view.round) with
+            | 0, 1 when dst <= 3 ->
+              let sv_sig = Pki.sign (Pki.key pki 0) (S.W.dealer_payload ~dealer:0 100) in
+              List.map
+                (function
+                  | S.W.Gcast_init (tg, _) ->
+                    S.W.Gcast_init (tg, { S.W.sv_dealer = 0; sv_value = 100; sv_sig })
+                  | m -> m)
+                (outbox dst)
+            | 0, _ -> []
+            | _, 2 ->
+              List.concat_map
+                (function
+                  | S.W.Gcast_echo (tg, echoes) ->
+                    let mine, others =
+                      List.partition (fun e -> e.S.W.ge_signed.S.W.sv_dealer = 0) echoes
+                    in
+                    S.W.Gcast_echo (tg, others)
+                    :: List.init copies (fun _ -> S.W.Gcast_echo (tg, mine @ mine))
+                  | m -> [ m ])
+                (outbox dst)
+            | _ -> outbox dst
+          in
+          handlers ~filter ());
+    }
+
+let test_repeated_echo_counts_once () =
+  let n = 7 and t = 3 in
+  let pki = Pki.create ~n in
+  let outcome =
+    run_protocol ~adversary:(repeated_echoer ~copies:3 pki) ~n ~faulty:[| 0; 1 |] (fun ctx ->
+        let i = S.R.id ctx in
+        S.Graded_auth.gradecast ctx ~pki ~key:(Pki.key pki i) ~t ~tag:2 i)
+  in
+  Alcotest.(check int) "all honest deliver" (n - 2) (List.length (S.R.honest_decisions outcome));
+  List.iter
+    (fun (i, deliveries) ->
+      Alcotest.(check (option (pair int int)))
+        (Printf.sprintf "process %d: dealer 0 is bot" i)
+        None deliveries.(0))
+    (S.R.honest_decisions outcome)
+
 let suite =
   [
     Alcotest.test_case "strong unanimity beyond n/3" `Quick test_unanimity;
@@ -122,4 +212,7 @@ let suite =
       test_equivocating_dealers;
     prop_unanimity;
     prop_coherence;
+    Alcotest.test_case "echo naming an out-of-range dealer is dropped" `Quick
+      test_out_of_range_dealer;
+    Alcotest.test_case "repeated echoes count once" `Quick test_repeated_echo_counts_once;
   ]

@@ -70,7 +70,7 @@ let test_messages_by_component_auth () =
   let advice = Gen.perfect ~n ~faulty in
   let inputs = Array.init n (fun i -> i mod 2) in
   let o, pki = S.run_auth ~t ~faulty ~inputs ~advice () in
-  let cfg = S.auth_config ~pki ~key:(Pki.key pki 0) ~t in
+  let cfg = S.auth_config ~pki ~key:(Pki.key pki 0) ~t () in
   let by = S.messages_by_component cfg ~t o in
   let total = List.fold_left (fun acc (_, c) -> acc + c) 0 by in
   Alcotest.(check int) "partition" o.S.R.honest_sent total
@@ -85,7 +85,7 @@ let test_messages_by_component_order () =
   let inputs = Array.init n (fun i -> i mod 2) in
   let attribute () =
     let o, pki = S.run_auth ~t ~faulty ~inputs ~advice () in
-    let cfg = S.auth_config ~pki ~key:(Pki.key pki 0) ~t in
+    let cfg = S.auth_config ~pki ~key:(Pki.key pki 0) ~t () in
     S.messages_by_component cfg ~t o
   in
   let by1 = attribute () and by2 = attribute () in

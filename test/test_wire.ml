@@ -141,7 +141,7 @@ let test_echo_cert () =
   let cert =
     {
       W.ec_signed = sv;
-      ec_echoes = List.init 4 (fun j -> (j, Pki.sign (Pki.key pki j) (W.echo_payload sv)));
+      ec_echoes = List.init 4 (fun j -> (j, Pki.sign (Pki.key pki j) (W.echo_payload ~dealer:2 5)));
     }
   in
   Alcotest.(check bool) "echo cert valid" true (W.valid_echo_cert pki ~threshold:4 cert);

@@ -36,7 +36,7 @@ let rec swap_root_cert pki ~quorum = function
   | W.Chain_link l -> W.Chain_link { l with prev = swap_root_cert pki ~quorum l.prev }
 
 let mutate rng pki ~quorum chain =
-  match Rng.int rng 5 with
+  match Rng.int rng 7 with
   | 0 -> ("value flip", flip_root_value chain)
   | 1 -> ("foreign root cert", swap_root_cert pki ~quorum chain)
   | 2 -> (
@@ -70,6 +70,38 @@ let mutate rng pki ~quorum chain =
     | W.Chain_root r ->
       ( "underfull root cert",
         W.Chain_root { r with cert = { r.cert with W.cc_sigs = List.tl r.cert.W.cc_sigs } } ))
+  | 4 -> (
+    (* Keep the tip's certificate object and signer, but swap in the
+       signer's signature on another payload. *)
+    match chain with
+    | W.Chain_link l ->
+      ( "swapped tip signature, same cert",
+        W.Chain_link
+          {
+            l with
+            link_sig = Pki.sign (Pki.key pki l.signer) (W.chain_root_payload 43 l.cert);
+          } )
+    | W.Chain_root r ->
+      ( "swapped root signature, same cert",
+        W.Chain_root
+          {
+            r with
+            link_sig =
+              Pki.sign (Pki.key pki r.cert.W.cc_member) (W.chain_root_payload 43 r.cert);
+          } ))
+  | 5 -> (
+    (* A full certificate for the same member whose first signature is
+       on another member's payload. *)
+    let forge (cert : W.committee_cert) =
+      match cert.W.cc_sigs with
+      | (j, _) :: rest ->
+        let s = Pki.sign (Pki.key pki j) (W.committee_payload (cert.W.cc_member + 1)) in
+        { cert with W.cc_sigs = (j, s) :: rest }
+      | [] -> cert
+    in
+    match chain with
+    | W.Chain_link l -> ("forged tip cert signature", W.Chain_link { l with cert = forge l.cert })
+    | W.Chain_root r -> ("forged root cert signature", W.Chain_root { r with cert = forge r.cert }))
   | _ ->
     (* Extend with a duplicate signer (the chain's own starter): breaks
        the distinct-signers requirement whatever the chain shape. *)
@@ -84,6 +116,9 @@ let mutate rng pki ~quorum chain =
           link_sig = Pki.sign (Pki.key pki sender) (W.chain_link_payload chain cert);
         } )
 
+(* Each mutant is checked twice: on a fresh memo, and on the memo that
+   just validated the original, where it meets cached prefix nodes and
+   certificates. Both must reject it. *)
 let prop_mutations_rejected =
   qcheck ~count:100 ~name:"all chain mutations rejected"
     QCheck2.Gen.(
@@ -97,15 +132,19 @@ let prop_mutations_rejected =
       let sender = 0 in
       let signers = List.init (len - 1) (fun i -> i + 1) in
       let chain = make_chain pki ~quorum ~sender ~signers 42 in
+      let memo = W.memo pki in
+      let valid ?memo c =
+        W.valid_chain ?memo pki ~quorum ~sender ~length:(W.chain_length c) c
+      in
       (* Sanity: the original is valid. *)
-      if not (W.valid_chain pki ~quorum ~sender ~length:len chain) then false
+      if not (valid ~memo chain) then false
       else begin
         let name, mutated = mutate rng pki ~quorum chain in
-        let still_valid =
-          W.valid_chain pki ~quorum ~sender ~length:(W.chain_length mutated) mutated
-        in
-        if still_valid then
-          QCheck2.Test.fail_reportf "mutation %S accepted" name
+        let fresh = valid mutated and shared = valid ~memo mutated in
+        if shared <> fresh then
+          QCheck2.Test.fail_reportf "mutation %S: shared memo says %b, fresh memo %b" name
+            shared fresh
+        else if fresh then QCheck2.Test.fail_reportf "mutation %S accepted" name
         else true
       end)
 

@@ -73,7 +73,7 @@ let prop_perfect_advice_phase1 =
         (* The schedule only depends on round counts, not on keys; build
            it with a throwaway pki/key. *)
         let pki = Pki.create ~n in
-        S.auth_config ~pki ~key:(Pki.key pki 0) ~t
+        S.auth_config ~pki ~key:(Pki.key pki 0) ~t ()
       in
       let phase1_end =
         List.fold_left
