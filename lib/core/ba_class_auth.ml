@@ -72,8 +72,7 @@ end = struct
       let quorum = t + 1 in
       let vote_tag = base_tag and bb_tag = base_tag + 1 and final_tag = base_tag + 2 in
       (* Round 1: committee votes to the 2k+1 most trusted processes. *)
-      let order = Classification.pi c in
-      let l_set = List.init ((2 * k) + 1) (fun j -> order.(j)) in
+      let l_set = Array.to_list (Classification.pi_prefix c ((2 * k) + 1)) in
       let votes =
         List.map
           (fun j -> (j, W.Committee_vote (vote_tag, Pki.sign key (W.committee_payload j))))

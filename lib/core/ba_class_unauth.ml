@@ -65,7 +65,7 @@ end = struct
       x
     end
     else begin
-    let order = Classification.pi c in
+    let order = Classification.pi_prefix c (phases k * ((3 * k) + 1)) in
     let v = ref x in
     let decision = ref None in
     let result = ref None in

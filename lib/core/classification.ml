@@ -4,25 +4,38 @@ module Inbox = Bap_sim.Inbox
 let majority_threshold n = (n + 2) / 2
 
 let vote ~n received =
-  let threshold = majority_threshold n in
-  (* One tally pass per distinct vector (the counted inbox presents each
-     with its sender multiplicity), not one per sender: with good advice
-     the classify round costs O(n) per process instead of O(n^2). *)
-  let counts = Array.make n 0 in
-  Inbox.fold_weighted received ~init:() ~f:(fun () a mult ->
-      if Advice.length a = n then
-        for j = 0 to n - 1 do
-          if Advice.get a j then counts.(j) <- counts.(j) + mult
-        done);
-  Advice.init n (fun j -> counts.(j) >= threshold)
+  (* One weighted entry per distinct vector (the counted inbox presents
+     each with its sender multiplicity), tallied word-parallel: the
+     classify round costs O(groups * log n * n/63) per process, with no
+     per-id count array. *)
+  let votes =
+    Inbox.fold_weighted received ~init:[] ~f:(fun acc a mult ->
+        if Advice.length a = n then (a, mult) :: acc else acc)
+  in
+  Advice.at_least ~n ~threshold:(majority_threshold n) votes
 
-let pi c =
+let pi_prefix c len =
+  (* Honest ids ascending, then faulty ids ascending, each pass stopping
+     once the prefix is full: a caller that reads the first blocks pays
+     for those blocks, not for n. *)
   let n = Advice.length c in
-  let honest = ref [] and faulty = ref [] in
-  for i = n - 1 downto 0 do
-    if Advice.get c i then honest := i :: !honest else faulty := i :: !faulty
-  done;
-  Array.of_list (!honest @ !faulty)
+  let order = Array.make (min len n) 0 in
+  let filled = ref 0 in
+  let take honest =
+    let i = ref 0 in
+    while !filled < Array.length order && !i < n do
+      if Advice.get c !i = honest then begin
+        order.(!filled) <- !i;
+        incr filled
+      end;
+      incr i
+    done
+  in
+  take true;
+  take false;
+  order
+
+let pi c = pi_prefix c (Advice.length c)
 
 let position c i =
   let order = pi c in

@@ -25,6 +25,12 @@ val pi : Advice.t -> int array
     order, followed by identifiers classified faulty in increasing
     order. *)
 
+val pi_prefix : Advice.t -> int -> int array
+(** [pi_prefix c len] is the first [min len n] entries of [pi c], built
+    without the rest: the cost is in the ids scanned to fill the prefix,
+    and the allocation is the prefix alone. [pi c] is
+    [pi_prefix c n]. *)
+
 val position : Advice.t -> int -> int
 (** [position c i] is the 0-based position of identifier [i] in [pi c]
     (the paper's positions are 1-based; we use 0-based throughout the

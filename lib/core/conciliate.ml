@@ -28,7 +28,6 @@ end = struct
 
   let run ctx ~l_set ~tag v =
     Ps.run ctx "conciliate" @@ fun () ->
-    let n = R.n ctx in
     let me = R.id ctx in
     let in_l = List.mem me l_set in
     let inbox =
@@ -39,45 +38,66 @@ end = struct
         | W.Conc (tg, w, l) when tg = tag -> Some (w, l)
         | _ -> None)
     in
-    (* T_i: identifiers we heard from. E_i: (y, z) with y in z's declared
-       set. A source y qualifies if y listed itself (y in L_y). *)
-    let in_t i = Option.is_some (Inbox.votes_get received i) in
-    let declared_l z =
-      match Inbox.votes_get received z with Some (_, l) -> l | None -> []
+    (* T_i, the identifiers we heard from, as a table in ascending id
+       order with each sender's value and declared set. Everything below
+       indexes it by position, so the work is in |T_i| and the declared
+       sets, not in n. An id outside [0, n) that a faulty sender
+       declares is in no table, so it adds no edge. *)
+    let ids = Array.of_list (Inbox.senders received) in
+    let size = Array.length ids in
+    let entries = Array.map (fun y -> Option.get (Inbox.votes_get received y)) ids in
+    let position y =
+      let rec search lo hi =
+        if lo > hi then -1
+        else
+          let mid = (lo + hi) / 2 in
+          if ids.(mid) = y then mid
+          else if ids.(mid) < y then search (mid + 1) hi
+          else search lo (mid - 1)
+      in
+      search 0 (size - 1)
     in
-    let value_of y =
-      match Inbox.votes_get received y with Some (w, _) -> Some w | None -> None
+    (* E_i: (y, z) with y in z's declared set. A source y qualifies if y
+       listed itself (y in L_y). *)
+    let predecessors =
+      Array.mapi
+        (fun u (_, l) ->
+          List.filter_map
+            (fun y ->
+              let p = position y in
+              if p >= 0 && p <> u then Some p else None)
+            l)
+        entries
     in
-    let qualifies y = in_t y && List.mem y (declared_l y) in
-    (* Reverse reachability: sources that reach z, including z itself. *)
-    let sources_reaching z =
-      let visited = Array.make n false in
+    (* Minimum input among the qualifying sources that reach z (z
+       included), by reverse reachability; ties go to the smallest id.
+       [visited] marks a position with the number of the search that
+       reached it. *)
+    let visited = Array.make size (-1) and searches = ref 0 in
+    let m_of z =
+      let search = !searches in
+      incr searches;
+      let best = ref None in
       let rec explore u =
-        if not visited.(u) then begin
-          visited.(u) <- true;
-          (* predecessors y of u: edge (y, u) iff y in T and y in L_u *)
-          List.iter (fun y -> if in_t y && y <> u then explore y) (declared_l u)
+        if visited.(u) <> search then begin
+          visited.(u) <- search;
+          (let w, l = entries.(u) in
+           if List.mem ids.(u) l then
+             match !best with
+             | Some (b, bu) when (let c = V.compare w b in c > 0 || (c = 0 && bu < u)) -> ()
+             | _ -> best := Some (w, u));
+          List.iter explore predecessors.(u)
         end
       in
       explore z;
-      visited
-    in
-    let m_of z =
-      let reach = sources_reaching z in
-      let best = ref None in
-      for y = 0 to n - 1 do
-        if reach.(y) && qualifies y then
-          match value_of y with
-          | None -> ()
-          | Some w -> (
-            match !best with
-            | None -> best := Some w
-            | Some b -> if V.compare w b < 0 then best := Some w)
-      done;
-      !best
+      Option.map fst !best
     in
     let minima =
-      List.filter_map (fun z -> if in_t z then m_of z else None) l_set
+      List.filter_map
+        (fun z ->
+          let p = position z in
+          if p >= 0 then m_of p else None)
+        l_set
     in
     (* Plurality over the multiset {m_i[j] | j in T_i inter L_i}; ties to
        the smallest value; input kept if the multiset is empty. *)

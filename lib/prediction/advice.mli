@@ -37,5 +37,14 @@ val of_bits : string -> t option
 val of_bool_array : bool array -> t
 val to_bool_array : t -> bool array
 val equal : t -> t -> bool
+
+val at_least : n:int -> threshold:int -> (t * int) list -> t
+(** [at_least ~n ~threshold votes] predicts [p_j] honest iff the
+    vectors in [votes] that predict it honest carry a total multiplicity
+    of at least [threshold]: the tally of a classification vote, counted
+    word-parallel (see {!Bap_sim.Bitset.at_least}).
+    @raise Invalid_argument when a vector's length is not [n] or a
+    multiplicity is negative. *)
+
 val pp : t Fmt.t
 (** Renders as a 0/1 string, e.g. ["110101"]. *)

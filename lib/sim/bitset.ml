@@ -54,9 +54,14 @@ let of_list length ids =
   List.iter (fun i -> set t i) ids;
   t
 
+(* SWAR popcount, constant cost per word: bit pairs, nibbles, bytes,
+   then one multiply sums the bytes into the top byte (at most 63 fits
+   its 7 bits). Shifts are [lsr] because bit 62 is the sign bit. *)
 let popcount_word w =
-  let rec go acc w = if w = 0 then acc else go (acc + 1) (w land (w - 1)) in
-  go 0 w
+  let w = w - ((w lsr 1) land 0x5555_5555_5555_5555) in
+  let w = (w land 0x3333_3333_3333_3333) + ((w lsr 2) land 0x3333_3333_3333_3333) in
+  let w = (w + (w lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (w * 0x0101_0101_0101_0101) lsr 56
 
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount_word w) 0 t.words
 
@@ -103,3 +108,55 @@ let union_into ~into b =
   Array.iteri (fun i w -> into.words.(i) <- into.words.(i) lor w) b.words
 
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
+
+(* Word-parallel weighted count. Within one word, the weight of every id
+   is held in binary across bit-planes (plane p holds bit p of each id's
+   weight); adding a set with multiplicity m is one ripple-carry addition
+   of the constant m to the ids the set's word contains, and the
+   comparison with the threshold runs plane by plane from the top. The
+   planes cover the bits of the total weight, so nothing overflows. *)
+let at_least ~length ~threshold weighted =
+  let total =
+    List.fold_left
+      (fun acc (s, m) ->
+        if s.length <> length then invalid_arg "Bitset.at_least: length mismatch";
+        if m < 0 then invalid_arg "Bitset.at_least: negative multiplicity";
+        acc + m)
+      0 weighted
+  in
+  if threshold <= 0 then init length (fun _ -> true)
+  else if threshold > total then create length
+  else begin
+    let result = create length in
+    let rec width acc x = if x = 0 then acc else width (acc + 1) (x lsr 1) in
+    let planes = Array.make (width 0 total) 0 in
+    let top = Array.length planes - 1 in
+    for w = 0 to Array.length result.words - 1 do
+      Array.fill planes 0 (top + 1) 0;
+      List.iter
+        (fun (s, m) ->
+          let word = s.words.(w) in
+          if word <> 0 then begin
+            let carry = ref 0 in
+            for p = 0 to top do
+              let a = planes.(p) and b = if (m lsr p) land 1 = 1 then word else 0 in
+              planes.(p) <- a lxor b lxor !carry;
+              carry := (a land b) lor (!carry land (a lxor b))
+            done
+          end)
+        weighted;
+      (* [gt]: ids whose weight is above the threshold on the planes
+         read so far; [eq]: ids equal to it so far. *)
+      let gt = ref 0 and eq = ref (-1) in
+      for p = top downto 0 do
+        let plane = planes.(p) in
+        if (threshold lsr p) land 1 = 1 then eq := !eq land plane
+        else begin
+          gt := !gt lor (!eq land plane);
+          eq := !eq land lnot plane
+        end
+      done;
+      result.words.(w) <- !gt lor !eq
+    done;
+    result
+  end

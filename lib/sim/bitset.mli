@@ -46,3 +46,12 @@ val equal : t -> t -> bool
 val inter : t -> t -> t
 val union_into : into:t -> t -> unit
 val is_empty : t -> bool
+
+val at_least : length:int -> threshold:int -> (t * int) list -> t
+(** [at_least ~length ~threshold weighted] holds the ids whose weight,
+    the sum of the multiplicities of the sets in [weighted] that contain
+    them, is at least [threshold] (every id when [threshold <= 0]). The
+    count is word-parallel: O(|weighted| * log total * length /
+    {!bits_per_word}) with no per-id loop and O(log total) words of
+    scratch. @raise Invalid_argument when a set's length is not
+    [length] or a multiplicity is negative. *)

@@ -37,12 +37,57 @@ let prop_get_matches_model =
       let b = Bitset.of_list n members in
       Array.for_all (fun j -> j) (Array.init n (fun j -> Bitset.get b j = m.(j))))
 
+let ids_of_flags flags = List.concat (List.mapi (fun j b -> if b then [ j ] else []) flags)
+
+(* Dense contents over up to 300 ids: each id with probability 1/2, plus
+   every id at the top bit of its word (id mod 63 = 62, the sign bit of
+   an OCaml int), which sparse contents rarely set. *)
+let dense_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 300 in
+    let* flags = list_repeat n bool in
+    let top j = j mod Bitset.bits_per_word = Bitset.bits_per_word - 1 in
+    return (n, ids_of_flags (List.mapi (fun j b -> b || top j) flags)))
+
 let prop_cardinal =
-  qcheck ~count:200 ~name:"cardinal = popcount of model" contents_gen
+  qcheck ~count:200 ~name:"cardinal = popcount of model"
+    (QCheck2.Gen.oneof [ contents_gen; dense_gen ])
     (fun (n, members) ->
       let m = model ~n members in
       Bitset.cardinal (Bitset.of_list n members)
       = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 m)
+
+(* The weighted tally against a per-id count: lengths across word
+   boundaries, 0-6 sets (dense or sparse), multiplicities up to 2000,
+   and thresholds over [1, total + 3], half of them at a subset sum of
+   the multiplicities (an id's possible weight) or one off it, where
+   the comparison flips. *)
+let prop_at_least =
+  qcheck ~count:500 ~name:"at_least = per-id weighted count"
+    QCheck2.Gen.(
+      let* n = int_range 1 300 in
+      let set =
+        oneof
+          [ list_size (int_range 0 n) (int_range 0 (n - 1)); map ids_of_flags (list_repeat n bool) ]
+      in
+      let* sets = list_size (int_range 0 6) (pair set (int_range 0 2000)) in
+      let total = List.fold_left (fun acc (_, m) -> acc + m) 0 sets in
+      let* picks = list_repeat (List.length sets) bool in
+      let* off = int_range (-1) 1 in
+      let subset_sum =
+        List.fold_left2 (fun acc (_, m) pick -> if pick then acc + m else acc) 0 sets picks
+      in
+      let* threshold =
+        oneof [ int_range 1 (total + 3); return (min (total + 3) (max 1 (subset_sum + off))) ]
+      in
+      return (n, sets, threshold))
+    (fun (n, sets, threshold) ->
+      let weighted = List.map (fun (members, m) -> (Bitset.of_list n members, m)) sets in
+      let weight j =
+        List.fold_left (fun acc (s, m) -> if Bitset.get s j then acc + m else acc) 0 weighted
+      in
+      Bitset.to_list (Bitset.at_least ~length:n ~threshold weighted)
+      = List.filter (fun j -> weight j >= threshold) (List.init n Fun.id))
 
 let prop_fold_ascending =
   qcheck ~count:200 ~name:"fold and iter visit ascending" contents_gen
@@ -117,7 +162,12 @@ let test_bounds () =
       ignore (Bitset.get b 10));
   Alcotest.check_raises "negative length"
     (Invalid_argument "Bitset.create: negative length") (fun () ->
-      ignore (Bitset.create (-1)))
+      ignore (Bitset.create (-1)));
+  Alcotest.(check (list int)) "threshold 0 holds every id" [ 0; 1; 2 ]
+    (Bitset.to_list (Bitset.at_least ~length:3 ~threshold:0 []));
+  Alcotest.check_raises "tally length mismatch"
+    (Invalid_argument "Bitset.at_least: length mismatch") (fun () ->
+      ignore (Bitset.at_least ~length:11 ~threshold:1 [ (b, 1) ]))
 
 let test_word_boundaries () =
   (* Exercise lengths around the word size explicitly. *)
@@ -137,6 +187,7 @@ let suite =
     prop_of_list_to_list;
     prop_get_matches_model;
     prop_cardinal;
+    prop_at_least;
     prop_fold_ascending;
     prop_set_clear_assign;
     prop_inter_union;

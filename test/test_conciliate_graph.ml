@@ -85,6 +85,21 @@ let test_declared_set_defines_edges () =
       if i >= 2 then Alcotest.(check int) "component minimum" 4 v)
     decisions
 
+let test_out_of_range_declared_ids_dropped () =
+  (* A faulty sender whose declared set names ids outside [0, n) (here n
+     and -1) adds no edge for them: the run is the one in which those
+     ids are dropped, and every honest process still decides. *)
+  let n = 5 in
+  let l_sets = Array.make n [ 0; 1; 2; 3 ] in
+  let inputs = [| 0; 9; 8; 7; 6 |] in
+  let run declared =
+    run_conciliation ~n ~l_sets ~inputs ~faulty_msg:(fun _ -> [ W.Conc (9, 3, declared) ])
+  in
+  let junk = run [ 0; n; -1 ] and dropped = run [ 0 ] in
+  Alcotest.(check int) "every honest process decides" (n - 1) (List.length junk);
+  Alcotest.(check (list (pair int int))) "same as the junk-free run" dropped junk;
+  List.iter (fun (_, v) -> Alcotest.(check int) "faulty minimum flows" 3 v) junk
+
 let suite =
   [
     Alcotest.test_case "minimum flows through the graph" `Quick test_min_flows_through_graph;
@@ -94,4 +109,6 @@ let suite =
       test_faulty_selective_reveal_splits;
     Alcotest.test_case "declared sets define the edges" `Quick
       test_declared_set_defines_edges;
+    Alcotest.test_case "out-of-range declared ids are dropped" `Quick
+      test_out_of_range_declared_ids_dropped;
   ]

@@ -1,11 +1,13 @@
 (* Scaling shapes as tests: fit the empirical exponent of each
    complexity curve and assert it sits in the band the theory predicts.
-   These are the automated versions of the E3/E4/E10 tables. *)
+   These are the automated versions of the E3/E4/E10 tables, plus an
+   allocation ratchet on the counted unauthenticated path. *)
 
 open Helpers
 module Gen = Bap_prediction.Gen
 module Series = Bap_stats.Series
 module B = Bap_baselines.Baseline_runs.Make (Bap_core.Value.Int)
+module Memprobe = Bap_telemetry.Memprobe
 
 let test_linear_fit () =
   let slope, intercept = Series.linear_fit [ (0.0, 1.0); (1.0, 3.0); (2.0, 5.0) ] in
@@ -62,6 +64,32 @@ let test_classify_bits_cubic () =
   let s = Series.loglog_slope (List.map bits [ 32; 64; 128; 256 ]) in
   if s < 2.5 || s > 3.2 then Alcotest.failf "classify bit exponent %.2f outside [2.5, 3.2]" s
 
+(* Allocation ratchet for the counted unauthenticated path: a recipient's
+   post-exchange work must not allocate arrays of n words, which skip the
+   minor heap (anything over 256 words is allocated directly on the major
+   heap) and made that path quadratic in n. One n=400 wrapper instance
+   with t/2 silent faults and perfect advice allocated ~4.0M words (about
+   10^4 per process) directly on the major heap while Conciliate, pi and
+   the classify tally built n-word arrays per recipient; without them the
+   reading is within a few thousand words of zero, either way (the GC
+   counters' accounting noise). The bound, 100 words per process, sits
+   well above that noise and a hundred times below the quadratic cost.
+   Read through Memprobe, as lint D002 asks. *)
+let test_counted_unauth_direct_major_words () =
+  let n = 400 in
+  let t = (n - 1) / 3 in
+  let faulty = Array.init (t / 2) Fun.id in
+  let inputs = Array.make n 1 in
+  let advice = Gen.perfect ~n ~faulty in
+  let before = Memprobe.snapshot () in
+  let o = S.run_unauth ~t ~faulty ~inputs ~advice ~adversary:Adversary.silent () in
+  let d = Memprobe.delta ~before ~after:(Memprobe.snapshot ()) in
+  Alcotest.(check bool) "agreement" true (S.agreement o);
+  let direct = d.major_words -. d.promoted_words in
+  if direct >= float_of_int (100 * n) then
+    Alcotest.failf "n=%d: %.0f words allocated directly on the major heap (bound %d)" n direct
+      (100 * n)
+
 let suite =
   [
     Alcotest.test_case "linear fit" `Quick test_linear_fit;
@@ -70,4 +98,6 @@ let suite =
     Alcotest.test_case "Dolev-Strong rounds linear in t" `Quick
       test_dolev_strong_rounds_linear_in_t;
     Alcotest.test_case "classify bits scale as ~n^3" `Quick test_classify_bits_cubic;
+    Alcotest.test_case "counted unauth allocates no n-word arrays per recipient" `Quick
+      test_counted_unauth_direct_major_words;
   ]
