@@ -245,7 +245,9 @@ let daemon =
           ~doc:
             "Write-ahead instance journal: every admitted instance is logged \
              at accept and its answer is flushed to PATH before the response \
-             frame is written, so a SIGKILL loses nothing accepted.")
+             frame is written, so a SIGKILL loses nothing accepted. Flushed \
+             is not fsynced: power loss or a kernel crash can still lose \
+             answered instances.")
   in
   let resume =
     Arg.(

@@ -6,7 +6,9 @@
    - Dolev-Strong agreement     (authenticated, always t+1 rounds).
 
    Each harness instantiates its own protocol stack and returns a plain
-   summary record, so callers never mix runtime instances. *)
+   summary record, so callers never mix runtime instances. The two
+   phase-king harnesses pass [on_round], the runtime's once-per-round
+   hook, through. *)
 
 module Adversary = Bap_sim.Adversary
 module Pki = Bap_crypto.Pki
@@ -64,11 +66,11 @@ module Make (V : Value.S) = struct
       decisions;
     }
 
-  let run_early_stopping ?(adversary = Adversary.passive) ?max_rounds ~t ~faulty ~inputs ()
-      =
+  let run_early_stopping ?(adversary = Adversary.passive) ?max_rounds ?on_round ~t ~faulty
+      ~inputs () =
     let n = Array.length inputs in
     let outcome =
-      S.R.run ?max_rounds ~n ~faulty ~adversary (fun ctx ->
+      S.R.run ?max_rounds ?on_round ~n ~faulty ~adversary (fun ctx ->
           let gc c ~tag v = S.Graded_unauth.run c ~t ~tag v in
           S.Early_stopping.run ctx ~gc ~gc_rounds:S.Graded_unauth.rounds ~phases:(t + 1)
             ~base_tag:0
@@ -80,10 +82,11 @@ module Make (V : Value.S) = struct
         if r.S.Early_stopping.decided_round = 0 then outcome.S.R.rounds
         else r.S.Early_stopping.decided_round)
 
-  let run_phase_king ?(adversary = Adversary.passive) ?max_rounds ~t ~faulty ~inputs () =
+  let run_phase_king ?(adversary = Adversary.passive) ?max_rounds ?on_round ~t ~faulty
+      ~inputs () =
     let n = Array.length inputs in
     let outcome =
-      S.R.run ?max_rounds ~n ~faulty ~adversary (fun ctx ->
+      S.R.run ?max_rounds ?on_round ~n ~faulty ~adversary (fun ctx ->
           let gc c ~tag v = S.Graded_unauth.run c ~t ~tag v in
           Pk.run ctx ~gc ~t ~base_tag:0 inputs.(S.R.id ctx))
     in

@@ -21,11 +21,17 @@ end = struct
 
   let rounds = 1
 
+  (* The vote is a pure function of the inbox: on the shared inbox it
+     runs once per round, and every recipient holds the same vector
+     ([Advice.t] is functional, so sharing it is safe). *)
+  let vote_key : (unit, Advice.t) Inbox.key = Inbox.key ()
+
+  let vote inbox () =
+    let received = Inbox.first inbox ~f:(function W.Advice a -> Some a | _ -> None) in
+    Classification.vote ~n:(Inbox.size inbox) received
+
   let run ctx advice =
     Ps.run ctx "classify" (fun () ->
         let inbox = R.broadcast ctx (W.Advice advice) in
-        let received =
-          Inbox.first inbox ~f:(function W.Advice a -> Some a | _ -> None)
-        in
-        Classification.vote ~n:(R.n ctx) received)
+        Inbox.memo inbox vote_key ~eq:(fun () () -> true) () vote)
 end

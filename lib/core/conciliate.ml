@@ -26,13 +26,9 @@ end = struct
 
   module Ps = Phase_span.Make (R)
 
-  let run ctx ~l_set ~tag v =
-    Ps.run ctx "conciliate" @@ fun () ->
-    let me = R.id ctx in
-    let in_l = List.mem me l_set in
-    let inbox =
-      if in_l then R.broadcast ctx (W.Conc (tag, v, l_set)) else R.silent_round ctx
-    in
+  (* The leader-graph winner: the plurality of the minima over L, or
+     [None] when that multiset is empty. *)
+  let winner inbox (tag, l_set) =
     let received =
       Inbox.first inbox ~f:(function
         | W.Conc (tg, w, l) when tg = tag -> Some (w, l)
@@ -100,9 +96,25 @@ end = struct
         l_set
     in
     (* Plurality over the multiset {m_i[j] | j in T_i inter L_i}; ties to
-       the smallest value; input kept if the multiset is empty. *)
+       the smallest value. *)
     let counted = Inbox.votes (Array.of_list (List.map Option.some minima)) in
-    match Inbox.plurality counted ~compare:V.compare with
-    | Some (w, _) -> w
+    Option.map fst (Inbox.plurality counted ~compare:V.compare)
+
+  (* The winner is a pure function of the inbox and (tag, L): on a
+     shared inbox it runs once per round. Whether I am in L, and the
+     fallback to my own input, stay outside the memo. *)
+  let winner_key : (int * int list, V.t option) Inbox.key = Inbox.key ()
+
+  let same_params (tag, l) (tag', l') =
+    Int.equal tag tag' && (l == l' || List.equal Int.equal l l')
+
+  let run ctx ~l_set ~tag v =
+    Ps.run ctx "conciliate" @@ fun () ->
+    let in_l = List.mem (R.id ctx) l_set in
+    let inbox =
+      if in_l then R.broadcast ctx (W.Conc (tag, v, l_set)) else R.silent_round ctx
+    in
+    match Inbox.memo inbox winner_key ~eq:same_params (tag, l_set) winner with
+    | Some w -> w
     | None -> v
 end

@@ -34,31 +34,48 @@ end = struct
 
   let rounds = 2
 
-  let run ctx ~t ~tag v =
-    Ps.run ctx "gc" @@ fun () ->
-    let n = R.n ctx in
-    let inbox = R.broadcast ctx (W.Gc_init (tag, v)) in
+  (* [b] is a pure function of the first inbox and (tag, t), and the
+     outcome one of the second inbox and (tag, t, b): on a shared inbox
+     each runs once per round. The outcome is [None] where a process
+     falls back to its own input, which stays outside the memo. *)
+  let b_key : (int * int, V.t option) Inbox.key = Inbox.key ()
+  let outcome_key : ((int * int) * V.t option, (V.t * int) option) Inbox.key = Inbox.key ()
+  let same_params (tag, t) (tag', t') = Int.equal tag tag' && Int.equal t t'
+
+  let same_round2 (p, b) (p', b') = same_params p p' && Option.equal V.equal b b'
+
+  let first_round inbox (tag, t) =
     let votes =
       Inbox.first inbox ~f:(function
         | W.Gc_init (tg, w) when tg = tag -> Some w
         | _ -> None)
     in
-    let b =
-      match Inbox.plurality votes ~compare:V.compare with
-      | Some (w, c) when c >= n - t -> Some w
-      | Some _ | None -> None
-    in
-    let second = match b with Some w -> [ W.Gc_echo (tag, w) ] | None -> [] in
-    let inbox' = R.broadcast_list ctx second in
+    match Inbox.plurality votes ~compare:V.compare with
+    | Some (w, c) when c >= Inbox.size inbox - t -> Some w
+    | Some _ | None -> None
+
+  let second_round inbox ((tag, t), b) =
     let echoes =
-      Inbox.first inbox' ~f:(function
+      Inbox.first inbox ~f:(function
         | W.Gc_echo (tg, w) when tg = tag -> Some w
         | _ -> None)
     in
     match b with
-    | Some bv -> if Inbox.count echoes ~eq:V.equal bv >= n - t then (bv, 1) else (bv, 0)
+    | Some bv ->
+      Some (bv, if Inbox.count echoes ~eq:V.equal bv >= Inbox.size inbox - t then 1 else 0)
     | None -> (
       match Inbox.plurality echoes ~compare:V.compare with
-      | Some (w, c) when c >= t + 1 -> (w, 0)
-      | Some _ | None -> (v, 0))
+      | Some (w, c) when c >= t + 1 -> Some (w, 0)
+      | Some _ | None -> None)
+
+  let run ctx ~t ~tag v =
+    Ps.run ctx "gc" @@ fun () ->
+    let params = (tag, t) in
+    let inbox = R.broadcast ctx (W.Gc_init (tag, v)) in
+    let b = Inbox.memo inbox b_key ~eq:same_params params first_round in
+    let second = match b with Some w -> [ W.Gc_echo (tag, w) ] | None -> [] in
+    let inbox' = R.broadcast_list ctx second in
+    match Inbox.memo inbox' outcome_key ~eq:same_round2 (params, b) second_round with
+    | Some r -> r
+    | None -> (v, 0)
 end

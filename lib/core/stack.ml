@@ -70,21 +70,25 @@ module Make (V : Value.S) = struct
     if Array.length faulty > t then invalid_arg "Stack: more faulty processes than t";
     n
 
-  let run_unauth ?(adversary = Adversary.passive) ?trace ?max_rounds ?network ?mode
-      ?config ?value_predictions ~t ~faulty ~inputs ~advice () :
+  (* Identical signature-free broadcasts group by the wire's own
+     equality, without building their bytes. *)
+  let grouping = Bap_sim.Runtime.Grouping { key = W.plain; hash = W.hash; equal = W.equal }
+
+  let run_unauth ?(adversary = Adversary.passive) ?trace ?max_rounds ?network ?on_round
+      ?mode ?config ?value_predictions ~t ~faulty ~inputs ~advice () :
       V.t Wrapper.result R.outcome =
     let n = check_args ~t ~faulty ~inputs ~advice in
     let config = Option.value config ~default:(unauth_config ~t) in
-    R.run ?max_rounds ?trace ?network ?mode ~msg_size:W.size_bits
-      ~group_key:W.encode_plain ~n ~faulty ~adversary (fun ctx ->
+    R.run ?max_rounds ?trace ?network ?on_round ?mode ~msg_size:W.size_bits ~grouping ~n
+      ~faulty ~adversary (fun ctx ->
         let i = R.id ctx in
         let value_prediction =
           Option.map (fun (preds : V.t array) -> preds.(i)) value_predictions
         in
         Wrapper.run ?value_prediction config ctx ~t inputs.(i) advice.(i))
 
-  let run_auth ?adversary ?trace ?max_rounds ?network ?mode ?value_predictions ~t
-      ~faulty ~inputs ~advice () : V.t Wrapper.result R.outcome * Pki.t =
+  let run_auth ?adversary ?trace ?max_rounds ?network ?on_round ?mode ?value_predictions
+      ~t ~faulty ~inputs ~advice () : V.t Wrapper.result R.outcome * Pki.t =
     let n = check_args ~t ~faulty ~inputs ~advice in
     let pki = Pki.create ~n in
     (* One validation memo per execution, shared by all n processes and
@@ -94,8 +98,8 @@ module Make (V : Value.S) = struct
       match adversary with Some make -> make pki | None -> Adversary.passive
     in
     let outcome =
-      R.run ?max_rounds ?trace ?network ?mode ~msg_size:W.size_bits
-        ~group_key:W.encode_plain ~n ~faulty ~adversary (fun ctx ->
+      R.run ?max_rounds ?trace ?network ?on_round ?mode ~msg_size:W.size_bits ~grouping
+        ~n ~faulty ~adversary (fun ctx ->
           let i = R.id ctx in
           let key = Pki.key pki i in
           let value_prediction =

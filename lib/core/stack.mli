@@ -44,11 +44,16 @@ module Make (V : Value.S) : sig
 
   (** {1 One-call execution harnesses} *)
 
+  val grouping : W.t Bap_sim.Runtime.grouping
+  (** The runtime grouping both harnesses use: signature-free messages
+      keyed by themselves, with {!Wire.S.hash} and {!Wire.S.equal}. *)
+
   val run_unauth :
     ?adversary:W.t Adversary.t ->
     ?trace:W.t Trace.t ->
     ?max_rounds:int ->
     ?network:(round:int -> src:int -> dst:int -> W.t list -> W.t list) ->
+    ?on_round:(int -> unit) ->
     ?mode:[ `Auto | `Concrete ] ->
     ?config:Wrapper.config ->
     ?value_predictions:V.t array ->
@@ -59,6 +64,7 @@ module Make (V : Value.S) : sig
     unit ->
     V.t Wrapper.result R.outcome
   (** Run the full unauthenticated stack; [n] is [Array.length inputs].
+      [on_round] is {!Bap_sim.Runtime.S.run}'s once-per-round hook.
       Raises [Invalid_argument] if advice and inputs disagree on [n] or
       more than [t] processes are marked faulty. *)
 
@@ -67,6 +73,7 @@ module Make (V : Value.S) : sig
     ?trace:W.t Trace.t ->
     ?max_rounds:int ->
     ?network:(round:int -> src:int -> dst:int -> W.t list -> W.t list) ->
+    ?on_round:(int -> unit) ->
     ?mode:[ `Auto | `Concrete ] ->
     ?value_predictions:V.t array ->
     t:int ->

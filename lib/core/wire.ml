@@ -147,6 +147,11 @@ module type S = sig
       corrupted bytes must fail cleanly, not leak exceptions into
       protocol code. *)
 
+  (* Grouping: the counted engine's key for the signature-free messages. *)
+
+  val plain : t -> t option
+  val equal : t -> t -> bool
+  val hash : t -> int
   val pp : t Fmt.t
 end
 
@@ -602,6 +607,41 @@ module Make (V : Value.S) : S with type value = V.t = struct
       let* l = read_ints s pos [] in
       Some (Conc (tag, v, l))
     | _ -> None
+
+  (* -- grouping -- *)
+
+  let plain m =
+    match m with
+    | Advice _ | Gc_init _ | Gc_echo _ | Conc _ | King _ -> Some m
+    | Gcast_init _ | Gcast_echo _ | Gcast_report _ | Committee_vote _ | Bb_chain _
+    | Ds_chain _ | Final_value _ ->
+      None
+
+  let equal a b =
+    match (a, b) with
+    | Advice x, Advice y -> Advice.equal x y
+    | Gc_init (t1, v1), Gc_init (t2, v2)
+    | Gc_echo (t1, v1), Gc_echo (t2, v2)
+    | King (t1, v1), King (t2, v2) ->
+      Int.equal t1 t2 && V.equal v1 v2
+    | Conc (t1, v1, l1), Conc (t2, v2, l2) ->
+      Int.equal t1 t2 && V.equal v1 v2 && (l1 == l2 || List.equal Int.equal l1 l2)
+    | _ -> false
+
+  let hash m =
+    let h =
+      match m with
+      | Advice a -> Advice.hash a
+      | Gc_init (tag, _) -> (31 * tag) + 1
+      | Gc_echo (tag, _) -> (31 * tag) + 2
+      | King (tag, _) -> (31 * tag) + 3
+      | Conc (tag, _, l) -> List.fold_left (fun h id -> (31 * h) + id) ((31 * tag) + 4) l
+      | Gcast_init (tag, _) | Gcast_echo (tag, _) | Gcast_report (tag, _)
+      | Committee_vote (tag, _) | Bb_chain (tag, _, _) | Ds_chain (tag, _, _)
+      | Final_value (tag, _, _) ->
+        (31 * tag) + 5
+    in
+    h land max_int
 
   let pp ppf = function
     | Advice a -> Fmt.pf ppf "Advice(%a)" Advice.pp a

@@ -155,6 +155,24 @@ module type S = sig
       corrupted bytes must fail cleanly, not leak exceptions into
       protocol code. *)
 
+  (** {1 Grouping} the counted engine's key for the signature-free
+      messages: identical honest broadcasts collapse into one group
+      without building their bytes. *)
+
+  val plain : t -> t option
+  (** [Some m] exactly when [encode_plain m] is [Some _]. *)
+
+  val equal : t -> t -> bool
+  (** On signature-free messages, [equal a b] iff
+      [encode_plain a = encode_plain b], decided with [V.equal],
+      [Advice.equal] and int-list equality; [false] whenever either
+      message carries a signature. *)
+
+  val hash : t -> int
+  (** Mixes the constructor, the tag, the advice vector's words and the
+      declared L set; values are left to {!equal}. [equal a b] implies
+      [hash a = hash b]. *)
+
   val pp : t Fmt.t
 end
 

@@ -10,7 +10,9 @@
     wholesale.
 
     One flush per record is the crash-safety contract: after {!append}
-    returns, a SIGKILL cannot lose that record. Opening is best-effort —
+    returns, a SIGKILL cannot lose that record. Flushed is not fsynced:
+    power loss or a kernel crash can still lose it. Opening is
+    best-effort —
     an unwritable path degrades to "no logging" rather than failing the
     caller — but degradation is loud: a stderr warning and a telemetry
     instant ([wal_degraded], counter [wal.degraded]) fire so the

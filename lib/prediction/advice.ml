@@ -58,5 +58,6 @@ let of_bits s =
 let of_bool_array a = Bitset.init (Array.length a) (fun j -> a.(j))
 let to_bool_array a = Array.init (Bitset.length a) (fun j -> Bitset.get a j)
 let equal = Bitset.equal
+let hash = Bitset.hash
 let at_least ~n ~threshold votes = Bitset.at_least ~length:n ~threshold votes
 let pp ppf a = Fmt.pf ppf "%s" (to_bits a)

@@ -38,6 +38,10 @@ val of_bool_array : bool array -> t
 val to_bool_array : t -> bool array
 val equal : t -> t -> bool
 
+val hash : t -> int
+(** Reads the length and every bit, so [equal a b] implies
+    [hash a = hash b]. *)
+
 val at_least : n:int -> threshold:int -> (t * int) list -> t
 (** [at_least ~n ~threshold votes] predicts [p_j] honest iff the
     vectors in [votes] that predict it honest carry a total multiplicity

@@ -145,15 +145,12 @@ let response_id payload =
 
 (* ---------- execution ---------- *)
 
-(* Cooperative cancellation on every delivered edge: a supervised
-   instance observes its watchdog deadline mid-round instead of only
-   between attempts; outside supervision, tick is a no-op and the hook
-   is the identity, so metrics and results are untouched. *)
-let tick_network ~round:_ ~src:_ ~dst:_ msgs =
-  Supervisor.tick ();
-  msgs
-
-let execute s =
+(* Cooperative cancellation once per round: a supervised instance
+   observes its watchdog deadline between rounds instead of only between
+   attempts; outside supervision, tick is a no-op, so metrics and results
+   are untouched. The hook observes no edge, so every family runs on the
+   counted engine. *)
+let execute ?(on_round = fun _ -> Supervisor.tick ()) s =
   let t = t_of s.family ~n:s.n in
   let rng = C.Rng.create s.seed in
   let w =
@@ -162,8 +159,8 @@ let execute s =
   match s.family with
   | Unauth ->
     let o =
-      C.S.run_unauth ~adversary:C.Adversary.silent ~network:tick_network ~t
-        ~faulty:w.C.faulty ~inputs:w.C.inputs ~advice:w.C.advice ()
+      C.S.run_unauth ~adversary:C.Adversary.silent ~on_round ~t ~faulty:w.C.faulty
+        ~inputs:w.C.inputs ~advice:w.C.advice ()
     in
     {
       decided = C.S.decision_round o;
@@ -177,8 +174,7 @@ let execute s =
     let o, _ =
       C.S.run_auth
         ~adversary:(fun _ -> C.Adversary.silent)
-        ~network:tick_network ~t ~faulty:w.C.faulty ~inputs:w.C.inputs
-        ~advice:w.C.advice ()
+        ~on_round ~t ~faulty:w.C.faulty ~inputs:w.C.inputs ~advice:w.C.advice ()
     in
     {
       decided = C.S.decision_round o;
@@ -192,11 +188,11 @@ let execute s =
     let r =
       match s.family with
       | Es ->
-        C.B.run_early_stopping ~adversary:C.Adversary.silent ~t
+        C.B.run_early_stopping ~adversary:C.Adversary.silent ~on_round ~t
           ~faulty:w.C.faulty ~inputs:w.C.inputs ()
       | _ ->
-        C.B.run_phase_king ~adversary:C.Adversary.silent ~t ~faulty:w.C.faulty
-          ~inputs:w.C.inputs ()
+        C.B.run_phase_king ~adversary:C.Adversary.silent ~on_round ~t
+          ~faulty:w.C.faulty ~inputs:w.C.inputs ()
     in
     {
       decided = r.C.B.decided_round;

@@ -73,11 +73,13 @@ val parse_admin : string -> admin option
     recorder) without touching admission or the journal. [None] means
     "not an admin frame" — the payload then takes the instance path. *)
 
-val execute : spec -> metrics
+val execute : ?on_round:(int -> unit) -> spec -> metrics
 (** Run the instance to completion. Pure: same spec, same metrics, on
-    any domain, at any [--jobs]. Calls [Supervisor.tick] on every
-    network edge, so a supervised run observes its deadline mid-round
-    while an unsupervised run is unaffected (tick is a no-op there). *)
+    any domain, at any [--jobs]. [on_round] runs once before each round
+    of every family, with the round number; an exception it raises
+    aborts the run. It defaults to [Supervisor.tick], so a supervised
+    run observes its deadline between rounds while an unsupervised run
+    is unaffected (tick is a no-op there). *)
 
 val request_json : spec -> string
 (** The canonical request payload for this spec — what a well-behaved

@@ -4,8 +4,9 @@
     logged at {e accept} (payload: the request JSON) and again at
     {e respond} (payload: the response bytes, verbatim), keyed by
     {!Instance.key} — the client-id-free canonical identity — and
-    flushed before the response frame is written. Across a SIGKILL and
-    a [--resume] restart that yields:
+    flushed before the response frame is written. Flushed is not
+    fsynced: power loss or a kernel crash can still lose answered
+    instances. Across a SIGKILL and a [--resume] restart that yields:
 
     - accept without respond: the server died owning the instance; it
       is in {!recovered} and must be re-dispatched. The client never

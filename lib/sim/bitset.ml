@@ -91,11 +91,19 @@ let to_list t = List.rev (fold t ~init:[] ~f:(fun acc i -> i :: acc))
 
 let equal a b =
   a.length = b.length
-  && begin
-       let ok = ref true in
-       Array.iteri (fun i w -> if w <> b.words.(i) then ok := false) a.words;
-       !ok
-     end
+  &&
+  let rec same i = i < 0 || (Int.equal a.words.(i) b.words.(i) && same (i - 1)) in
+  same (Array.length a.words - 1)
+
+(* Multiply-xorshift over the length and every word: bits past the
+   length are always clear, so equal sets hash equally, and the shift
+   folds high bits into the low ones a bucket index reads. *)
+let hash t =
+  let mix h w =
+    let h = (h lxor w) * 0x100_0000_01b3 in
+    h lxor (h lsr 29)
+  in
+  Array.fold_left mix (mix 0 t.length) t.words land max_int
 
 let inter a b =
   if a.length <> b.length then invalid_arg "Bitset.inter: length mismatch";

@@ -43,6 +43,11 @@ val to_list : t -> int list
 (** Ascending. *)
 
 val equal : t -> t -> bool
+
+val hash : t -> int
+(** Non-negative, reads the length and every word: [equal a b] implies
+    [hash a = hash b]. *)
+
 val inter : t -> t -> t
 val union_into : into:t -> t -> unit
 val is_empty : t -> bool

@@ -9,7 +9,16 @@
 
    Every reading operation is defined so that the two representations of
    the same traffic are observably identical; the runtime's differential
-   tests assert this end to end. *)
+   tests assert this end to end.
+
+   The one counted inbox the runtime hands every recipient of a round
+   carries a memo: results of derivations that are pure in (inbox,
+   argument), typed by their key, so no value is ever cast. *)
+
+type ('a, 'b) key = ('a * 'b) Type.Id.t
+
+type binding = Binding : ('a, 'b) key * 'a * 'b -> binding
+type memo = { mutable bindings : binding list }
 
 type 'msg t =
   | Concrete of 'msg list array
@@ -17,6 +26,7 @@ type 'msg t =
       n : int;
       groups : ('msg list * Bitset.t) array;
       direct : (int * 'msg list) array;  (* sorted by sender, ascending *)
+      memo : memo option;  (* [Some] on the shared inbox only *)
     }
 
 type 'a votes =
@@ -29,9 +39,32 @@ type 'a votes =
 
 let concrete arr = Concrete arr
 
-let counted ~n ~groups ~direct = Counted { n; groups; direct }
+let counted ~n ~groups ~direct = Counted { n; groups; direct; memo = None }
+let shared ~n ~groups ~direct = Counted { n; groups; direct; memo = Some { bindings = [] } }
 
 let size = function Concrete arr -> Array.length arr | Counted { n; _ } -> n
+
+let key () = Type.Id.make ()
+
+let rec lookup :
+    type a b. (a, b) key -> eq:(a -> a -> bool) -> a -> binding list -> b option =
+ fun key ~eq arg -> function
+  | [] -> None
+  | Binding (key', arg', result) :: rest -> (
+    match Type.Id.provably_equal key key' with
+    | Some Type.Equal when eq arg arg' -> Some result
+    | Some Type.Equal | None -> lookup key ~eq arg rest)
+
+let memo t key ~eq arg f =
+  match t with
+  | Counted { memo = Some m; _ } -> (
+    match lookup key ~eq arg m.bindings with
+    | Some result -> result
+    | None ->
+      let result = f t arg in
+      m.bindings <- Binding (key, arg, result) :: m.bindings;
+      result)
+  | Counted { memo = None; _ } | Concrete _ -> f t arg
 
 (* Binary search over a sparse sorted-by-sender array. *)
 let find_sparse arr sender =
@@ -51,7 +84,7 @@ let find_sparse arr sender =
 let get t sender =
   match t with
   | Concrete arr -> arr.(sender)
-  | Counted { n; groups; direct } ->
+  | Counted { n; groups; direct; _ } ->
     if sender < 0 || sender >= n then invalid_arg "Inbox.get: sender out of range";
     (match find_sparse direct sender with
     | Some msgs -> msgs
@@ -66,7 +99,7 @@ let get t sender =
 
 let to_array = function
   | Concrete arr -> Array.copy arr
-  | Counted { n; groups; direct } ->
+  | Counted { n; groups; direct; _ } ->
     let arr = Array.make n [] in
     Array.iter
       (fun (msgs, senders) -> Bitset.iter senders ~f:(fun s -> arr.(s) <- msgs))
@@ -84,7 +117,7 @@ let iter t ~f = iteri t ~f:(fun _ msgs -> f msgs)
 let first t ~f =
   match t with
   | Concrete arr -> Varr (Array.map (fun msgs -> List.find_map f msgs) arr)
-  | Counted { n; groups; direct } ->
+  | Counted { n; groups; direct; _ } ->
     (* [f] runs once per distinct payload list, not once per sender: it
        must be a pure parser (every protocol step's is). *)
     Vcnt
@@ -97,7 +130,7 @@ let first t ~f =
 let firsti t ~f =
   match t with
   | Concrete arr -> Varr (Array.mapi (fun sender msgs -> List.find_map (f sender) msgs) arr)
-  | Counted { n; groups; direct } ->
+  | Counted { n; groups; direct; _ } ->
     let arr = Array.make n None in
     Array.iter
       (fun (msgs, senders) ->

@@ -32,8 +32,38 @@ val counted :
     sender ascending and disjoint from every group; a sender in neither
     delivered nothing. *)
 
+val shared :
+  n:int ->
+  groups:('msg list * Bitset.t) array ->
+  direct:(int * 'msg list) array ->
+  'msg t
+(** {!counted}, marked as the one inbox the runtime hands every
+    recipient of a round: the only kind of inbox that memoizes (see
+    {!memo}). *)
+
 val size : 'msg t -> int
 (** Number of processes [n]. *)
+
+(** {1 Once-per-round derivations} *)
+
+type ('a, 'b) key
+(** Names one derivation from an argument of type ['a] to a result of
+    type ['b]. *)
+
+val key : unit -> ('a, 'b) key
+(** A fresh key. Create one per call site, once (at module
+    initialisation), not per call: results are shared only between
+    calls that use the same key. *)
+
+val memo :
+  'msg t -> ('a, 'b) key -> eq:('a -> 'a -> bool) -> 'a -> ('msg t -> 'a -> 'b) -> 'b
+(** [memo inbox key ~eq arg f] is [f inbox arg]. On a shared inbox the
+    first call with [key] and an argument [eq] to [arg] runs [f] and
+    keeps its result, and every later such call returns that same
+    (physically equal) result without running [f]; every other inbox
+    computes directly and shares nothing. The contract is {!first}'s for
+    parsers: [f] must be pure, reading nothing but its inbox and its
+    argument, and nobody may mutate the result. *)
 
 val get : 'msg t -> int -> 'msg list
 (** Messages from one sender ([[]] if it delivered nothing). *)

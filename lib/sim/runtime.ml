@@ -2,6 +2,14 @@ module type MSG = sig
   type t
 end
 
+type 'm grouping =
+  | Grouping : {
+      key : 'm -> 'k option;
+      hash : 'k -> int;
+      equal : 'k -> 'k -> bool;
+    }
+      -> 'm grouping
+
 module type S = sig
   type msg
   type ctx
@@ -37,6 +45,8 @@ module type S = sig
     ?msg_size:(msg -> int) ->
     ?network:(round:int -> src:int -> dst:int -> msg list -> msg list) ->
     ?group_key:(msg -> string option) ->
+    ?grouping:msg grouping ->
+    ?on_round:(int -> unit) ->
     ?mode:[ `Auto | `Concrete ] ->
     n:int ->
     faulty:int array ->
@@ -119,24 +129,77 @@ module Make (M : MSG) : S with type msg = M.t = struct
   (* A sender's effective traffic shape on the counted path. *)
   type shape = RNone | RBroadcast of msg list | RRow of msg list array
 
-  (* Injective key for a whole broadcast list: netstring-join of the
-     per-message keys, [None] as soon as one message must not group. *)
-  let key_of gk msgs =
-    let rec go buf = function
-      | [] -> Some (Buffer.contents buf)
-      | m :: rest -> (
-        match gk m with
-        | None -> None
-        | Some s ->
-          Buffer.add_string buf (string_of_int (String.length s));
-          Buffer.add_char buf ':';
-          Buffer.add_string buf s;
-          go buf rest)
-    in
-    go (Buffer.create 64) msgs
+  (* One round's broadcast groups. [add src msgs] puts an honest
+     sender's list into the group of equal lists, opening one if needed,
+     and is false when some message has no key; [flush] returns the
+     round's groups in first-seen order and empties the table. *)
+  type grouper = {
+    add : int -> msg list -> bool;
+    flush : unit -> (msg list * Bitset.t) list;
+  }
 
-  let run ?(max_rounds = 100_000) ?trace ?msg_size ?network ?group_key ?(mode = `Auto)
-      ~n ~faulty ~adversary body =
+  (* Buckets keyed by the hash of the list's keys; an entry keeps its
+     keys so a lookup compares keys, never bytes. *)
+  let grouper (type k) ~n ~(key : msg -> k option) ~(hash : k -> int)
+      ~(equal : k -> k -> bool) =
+    let cap =
+      let rec up c = if c >= 2 * n then c else up (2 * c) in
+      up 16
+    in
+    let buckets : (int * k list * Bitset.t) list array = Array.make cap [] in
+    let order = ref [] in
+    let rec keys acc = function
+      | [] -> Some (List.rev acc)
+      | m :: rest -> (
+        match key m with None -> None | Some k -> keys (k :: acc) rest)
+    in
+    let rec hash_keys h = function
+      | [] -> h
+      | k :: rest -> hash_keys ((31 * h) + hash k) rest
+    in
+    let rec join src h ks = function
+      | [] -> false
+      | (h', ks', set) :: rest ->
+        if h = h' && List.equal equal ks ks' then (
+          Bitset.set set src;
+          true)
+        else join src h ks rest
+    in
+    let add src msgs =
+      match keys [] msgs with
+      | None -> false
+      | Some ks ->
+        let h = hash_keys 0 ks land max_int in
+        let b = h land (cap - 1) in
+        if not (join src h ks buckets.(b)) then begin
+          let set = Bitset.create n in
+          Bitset.set set src;
+          buckets.(b) <- (h, ks, set) :: buckets.(b);
+          order := (b, msgs, set) :: !order
+        end;
+        true
+    in
+    let flush () =
+      let groups =
+        List.rev_map
+          (fun (b, msgs, set) ->
+            buckets.(b) <- [];
+            (msgs, set))
+          !order
+      in
+      order := [];
+      groups
+    in
+    { add; flush }
+
+  let run ?(max_rounds = 100_000) ?trace ?msg_size ?network ?group_key ?grouping ?on_round
+      ?(mode = `Auto) ~n ~faulty ~adversary body =
+    let grouping =
+      match (group_key, grouping) with
+      | Some _, Some _ -> invalid_arg "Runtime.run: both group_key and grouping given"
+      | Some key, None -> Some (Grouping { key; hash = String.hash; equal = String.equal })
+      | None, g -> g
+    in
     let is_faulty = Array.make n false in
     Array.iter
       (fun i ->
@@ -338,7 +401,47 @@ module Make (M : MSG) : S with type msg = M.t = struct
     let grouped = Array.make n false in
     let own_len = Array.make n 0 in
     let inj_rev : (int * msg) list array = Array.make n [] in
-    let group_tbl : (string, msg list * Bitset.t) Hashtbl.t = Hashtbl.create 64 in
+    let inj_slot : msg list array = Array.make n [] in
+    let grouper =
+      match grouping with
+      | Some (Grouping { key; hash; equal }) when counted_ok ->
+        Some (grouper ~n ~key ~hash ~equal)
+      | Some _ | None -> None
+    in
+    let base_of src dst =
+      match ekind.(src) with RNone -> [] | RBroadcast msgs -> msgs | RRow r -> r.(dst)
+    in
+    (* A recipient's overridden (src, i) slots, each built once: its
+       base traffic, then its injections in injection order. Staging
+       walks [inj_rev] newest first, so consing leaves each source's
+       injections oldest first. Defined once per run: no closure per
+       recipient. *)
+    let rec stage_injections injected = function
+      | [] -> injected
+      | (src, payload) :: rest ->
+        let injected =
+          match inj_slot.(src) with [] -> src :: injected | _ :: _ -> injected
+        in
+        inj_slot.(src) <- payload :: inj_slot.(src);
+        stage_injections injected rest
+    in
+    let rec row_overrides i ov = function
+      | [] -> ov
+      | src :: rest -> (
+        match ekind.(src) with
+        | RRow r -> (
+          match (r.(i), inj_slot.(src)) with
+          | [], _ | _, _ :: _ -> row_overrides i ov rest
+          | msgs, [] -> row_overrides i ((src, msgs) :: ov) rest)
+        | RNone | RBroadcast _ -> row_overrides i ov rest)
+    in
+    let rec with_injections i ov = function
+      | [] -> ov
+      | src :: rest ->
+        let slot = base_of src i @ inj_slot.(src) in
+        inj_slot.(src) <- [];
+        with_injections i ((src, slot) :: ov) rest
+    in
     let size_sum msgs =
       match msg_size with
       | None -> 0
@@ -374,9 +477,8 @@ module Make (M : MSG) : S with type msg = M.t = struct
                 | RRow r -> r.(recipient));
         }
       in
-      (* 2. Honest senders: aggregate broadcast shapes into groups. *)
-      Hashtbl.reset group_tbl;
-      let groups_rev = ref [] in
+      (* 2. Honest senders: aggregate broadcast shapes into groups. A
+         group's bits are counted once, times its cardinality. *)
       let base_honest_total = ref 0 in
       let bits_per_recipient = ref 0 in
       for src = 0 to n - 1 do
@@ -388,24 +490,16 @@ module Make (M : MSG) : S with type msg = M.t = struct
             let len = List.length msgs in
             base_honest_total := !base_honest_total + len;
             own_len.(src) <- len;
-            bits_per_recipient := !bits_per_recipient + size_sum msgs;
-            (match group_key with
-            | None -> ()
-            | Some gk -> (
-              match key_of gk msgs with
-              | None -> ()
-              | Some key -> (
-                grouped.(src) <- true;
-                match Hashtbl.find_opt group_tbl key with
-                | Some (_, set) -> Bitset.set set src
-                | None ->
-                  let set = Bitset.create n in
-                  Bitset.set set src;
-                  let entry = (msgs, set) in
-                  Hashtbl.replace group_tbl key entry;
-                  groups_rev := entry :: !groups_rev)))
+            let joined = match grouper with Some g -> g.add src msgs | None -> false in
+            if joined then grouped.(src) <- true
+            else bits_per_recipient := !bits_per_recipient + size_sum msgs
           | RRow _ as k -> ekind.(src) <- k
       done;
+      let groups = match grouper with Some g -> g.flush () | None -> [] in
+      List.iter
+        (fun (msgs, set) ->
+          bits_per_recipient := !bits_per_recipient + (size_sum msgs * Bitset.cardinal set))
+        groups;
       (* 3. Faulty senders, ascending (the concrete path's filter-call
          order). The canonical combinators are recognised physically:
          they are pure, so skipping their calls is unobservable. *)
@@ -464,45 +558,30 @@ module Make (M : MSG) : S with type msg = M.t = struct
       done;
       adversary_sent := !adversary_sent + !inj_adv;
       (* 6. Assemble inboxes. With no function-shaped traffic and no
-         injections every recipient shares one immutable inbox. *)
-      let groups_arr = Array.of_list (List.rev !groups_rev) in
-      let shared_direct =
-        let acc = ref [] in
-        for src = n - 1 downto 0 do
-          if not grouped.(src) then
-            match ekind.(src) with
-            | RBroadcast msgs -> acc := (src, msgs) :: !acc
-            | RNone | RRow _ -> ()
-        done;
-        Array.of_list !acc
-      in
-      let rows_exist = Array.exists (function RRow _ -> true | _ -> false) ekind in
+         injections every recipient shares one immutable inbox, marked
+         shared so derivations every recipient reads the same way run
+         once on it. *)
+      let groups_arr = Array.of_list groups in
+      let shared_direct = ref [] and row_srcs = ref [] in
+      for src = n - 1 downto 0 do
+        match ekind.(src) with
+        | RBroadcast msgs when not grouped.(src) ->
+          shared_direct := (src, msgs) :: !shared_direct
+        | RRow _ -> row_srcs := src :: !row_srcs
+        | RBroadcast _ | RNone -> ()
+      done;
+      let shared_direct = Array.of_list !shared_direct and row_srcs = !row_srcs in
       let have_extras =
-        rows_exist || (match !touched_dsts with [] -> false | _ :: _ -> true)
+        (match row_srcs with [] -> false | _ :: _ -> true)
+        || match !touched_dsts with [] -> false | _ :: _ -> true
       in
       let shared_inbox =
         if have_extras then None
-        else Some (Inbox.counted ~n ~groups:groups_arr ~direct:shared_direct)
-      in
-      let base_of src dst =
-        match ekind.(src) with RNone -> [] | RBroadcast msgs -> msgs | RRow r -> r.(dst)
+        else Some (Inbox.shared ~n ~groups:groups_arr ~direct:shared_direct)
       in
       let overrides_for i =
-        let ov = ref [] in
-        if rows_exist then
-          for src = 0 to n - 1 do
-            match ekind.(src) with
-            | RRow r -> (
-              match r.(i) with [] -> () | msgs -> ov := (src, msgs) :: !ov)
-            | RNone | RBroadcast _ -> ()
-          done;
-        List.iter
-          (fun (src, payload) ->
-            match List.assoc_opt src !ov with
-            | Some cur -> ov := (src, cur @ [ payload ]) :: List.remove_assoc src !ov
-            | None -> ov := (src, base_of src i @ [ payload ]) :: !ov)
-          (List.rev inj_rev.(i));
-        !ov
+        let injected = stage_injections [] inj_rev.(i) in
+        with_injections i (row_overrides i [] row_srcs) injected
       in
       let inbox_for i =
         match shared_inbox with
@@ -571,6 +650,7 @@ module Make (M : MSG) : S with type msg = M.t = struct
     while honest_running () do
       incr round;
       if !round > max_rounds then raise (Round_limit_exceeded max_rounds);
+      (match on_round with Some hook -> hook !round | None -> ());
       record (Trace.Round_begin !round);
       this_round := 0;
       bits0 := !honest_bits;

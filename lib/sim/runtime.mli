@@ -22,7 +22,10 @@
       (payload, sender-bitset) groups and never materialises the n
       copies, falling back to per-pair handling only for function-shaped
       outboxes and for faulty senders whose filter is not one of the
-      canonical {!Adversary} combinators.
+      canonical {!Adversary} combinators. When a round has neither
+      those nor injections, every recipient gets one {!Inbox.shared}
+      inbox, on which a derivation every recipient reads the same way
+      runs once ({!Inbox.memo}).
 
     The two paths are byte-identical in every observable: decisions,
     rounds, all message/bit accounting, adversary call order, and raised
@@ -31,6 +34,20 @@
 module type MSG = sig
   type t
 end
+
+(** How the counted engine recognises identical honest broadcasts: a
+    per-message [key] ([None] for a message that must not be grouped,
+    e.g. a signed one), with a [hash] and an [equal] on keys. Two
+    broadcast lists fall into one group when every message has a key
+    and their key lists are equal. [equal] must imply equal hashes, and
+    equal keys must mean messages every reader treats alike. *)
+type 'm grouping =
+  | Grouping : {
+      key : 'm -> 'k option;
+      hash : 'k -> int;
+      equal : 'k -> 'k -> bool;
+    }
+      -> 'm grouping
 
 module type S = sig
   type msg
@@ -106,6 +123,8 @@ module type S = sig
     ?msg_size:(msg -> int) ->
     ?network:(round:int -> src:int -> dst:int -> msg list -> msg list) ->
     ?group_key:(msg -> string option) ->
+    ?grouping:msg grouping ->
+    ?on_round:(int -> unit) ->
     ?mode:[ `Auto | `Concrete ] ->
     n:int ->
     faulty:int array ->
@@ -128,13 +147,20 @@ module type S = sig
       schedule generator keeps inside it, but the hook itself is
       deliberately unrestricted so tests can probe the envelope.
 
-      [group_key] enables broadcast aggregation on the counted path: it
-      must be an {e injective} encoding of a message ([None] for messages
-      that must not be grouped, e.g. signed ones — they then travel as
-      per-sender entries). Omitting it still avoids the n x n matrices
-      but aggregates nothing. [msg_size] and [group_key] are called once
-      per distinct payload on the counted path and once per delivered
-      message on the concrete one, so both must be pure.
+      [grouping] enables broadcast aggregation on the counted path (see
+      {!grouping}); messages without a key travel as per-sender
+      entries. [group_key] is the grouping whose keys are an {e
+      injective} string encoding, hashed with [String.hash] and compared
+      with [String.equal]; give at most one of the two.
+      Omitting both still avoids the n x n matrices but aggregates
+      nothing. The grouping functions run once per honest sender on the
+      counted path; [msg_size] runs once per distinct payload there and
+      once per delivered message on the concrete path. All of them must
+      be pure.
+
+      [on_round] is called with the round number once before each
+      round, on either engine. An exception it raises aborts the run:
+      that is how a supervised run observes its deadline.
 
       [mode] selects the engine: [`Auto] (default) uses the counted path
       whenever no [trace] and no [network] hook is installed, [`Concrete]
@@ -142,7 +168,8 @@ module type S = sig
 
       @raise Round_limit_exceeded after [max_rounds] (default 100_000)
       rounds with honest processes still running.
-      @raise Invalid_argument if a faulty id is out of range or the
+      @raise Invalid_argument if a faulty id is out of range, both
+      [group_key] and [grouping] are given, or the
       adversary injects a message from a non-faulty or out-of-range
       source, or to an out-of-range destination. *)
 

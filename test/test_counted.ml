@@ -12,6 +12,7 @@ module Schedule = Bap_chaos.Schedule
 module Inj = Bap_chaos.Injector.Make (V) (S.W)
 module Ds = Bap_baselines.Dolev_strong.Make (V) (S.W) (S.R)
 module Pk = Bap_baselines.Phase_king.Make (V) (S.W) (S.R)
+module Memprobe = Bap_telemetry.Memprobe
 
 let outcomes_equal (a : 'r S.R.outcome) (b : 'r S.R.outcome) =
   a.S.R.n = b.S.R.n
@@ -227,6 +228,94 @@ let test_inject_order mode () =
   in
   Alcotest.(check (list int)) "bystander got only the broadcast" [ 102 ] from2'
 
+(* k injections from one faulty source to one recipient in one round:
+   both engines deliver the puppet's broadcast, then the injections in
+   injection order. The counted engine builds each (src, dst) slot once,
+   so its allocation is linear in k; appending each injection to the
+   slot made it quadratic (6M minor words at k = 2000). *)
+let test_many_injections_linear () =
+  let k = 2000 in
+  let adversary =
+    {
+      Bap_sim.Adversary.name = "burst";
+      make =
+        (fun ~n:_ ~faulty:_ ->
+          Bap_sim.Adversary.handlers
+            ~inject:(fun view ->
+              if view.Bap_sim.Adversary.round = 1 then
+                List.init k (fun j -> { Bap_sim.Adversary.src = 4; dst = 0; payload = 1000 + j })
+              else [])
+            ());
+    }
+  in
+  let run mode =
+    IR.run ~mode ~n:5 ~faulty:[| 4 |] ~adversary (fun ctx ->
+        Inbox.get (IR.broadcast ctx (100 + IR.id ctx)) 4)
+  in
+  let expected = 104 :: List.init k (fun j -> 1000 + j) in
+  let received (o : _ IR.outcome) =
+    match o.IR.decisions.(0) with Some d -> d | None -> Alcotest.fail "no decision"
+  in
+  Alcotest.(check (list int)) "concrete: broadcast, then injections in order" expected
+    (received (run `Concrete));
+  (* The calling domain's own counter: a process snapshot only moves at
+     minor collections, a whole minor heap at a time. *)
+  let before = Memprobe.domain_minor_words () in
+  let counted = run `Auto in
+  let words = Memprobe.domain_minor_words () -. before in
+  Alcotest.(check (list int)) "counted: broadcast, then injections in order" expected
+    (received counted);
+  if words >= float_of_int (100 * k) then
+    Alcotest.failf "counted engine allocated %.0f minor words for %d injections (bound %d)"
+      words k (100 * k)
+
+(* An adversary that injects only in odd rounds, with mute puppets:
+   rounds alternate between the shared inbox (and its memo) and
+   per-recipient inboxes. Each odd round, every faulty process replays
+   the lowest honest process's traffic to every recipient with the
+   value, the advice bit or the declared set bent by the recipient's
+   id. *)
+let odd_round_injector =
+  let bend dst = function
+    | S.W.Gc_init (tag, v) -> S.W.Gc_init (tag, (v + dst) mod 2)
+    | S.W.Gc_echo (tag, v) -> S.W.Gc_echo (tag, (v + dst) mod 2)
+    | S.W.King (tag, v) -> S.W.King (tag, (v + dst) mod 2)
+    | S.W.Conc (tag, v, l) -> S.W.Conc (tag, (v + dst) mod 2, if dst mod 3 = 0 then [] else l)
+    | S.W.Advice a -> S.W.Advice (Advice.flip a (dst mod Advice.length a))
+    | m -> m
+  in
+  Adversary.custom "odd-round-injector" (fun ~n ~faulty view ->
+      if view.Adversary.round mod 2 = 0 then []
+      else begin
+        let is_faulty = is_faulty_array ~n faulty in
+        let rec lowest_honest i = if is_faulty.(i) then lowest_honest (i + 1) else i in
+        let h = lowest_honest 0 in
+        List.concat_map
+          (fun src ->
+            List.concat
+              (List.init n (fun dst ->
+                   List.map
+                     (fun m -> { Adversary.src; dst; payload = bend dst m })
+                     (view.Adversary.honest_out ~sender:h ~recipient:dst))))
+          (Array.to_list faulty)
+      end)
+
+let test_alternating_paths_large_n () =
+  List.iter
+    (fun (n, f, seed) ->
+      let t = (n - 1) / 3 in
+      let rng = Rng.create seed in
+      let faulty = random_faulty rng ~n ~f in
+      let advice = Gen.generate ~rng ~n ~faulty ~budget:(2 * n) Gen.Scattered in
+      let inputs = Array.init n (fun _ -> Rng.int rng 2) in
+      let adversary = odd_round_injector in
+      let counted = S.run_unauth ~adversary ~t ~faulty ~inputs ~advice () in
+      let concrete = S.run_unauth ~adversary ~mode:`Concrete ~t ~faulty ~inputs ~advice () in
+      if counted.S.R.adversary_sent = 0 then Alcotest.failf "n=%d: nothing injected" n;
+      if not (outcomes_equal counted concrete) then
+        Alcotest.failf "n=%d f=%d seed=%d: counted and concrete outcomes differ" n f seed)
+    [ (64, 10, 3); (70, 23, 11) ]
+
 let test_counted_shares_inbox () =
   (* Sanity: with pure broadcasts and no adversary the counted engine
      groups everything — agreement-relevant reads still see all n
@@ -257,4 +346,8 @@ let suite =
       (test_inject_order `Concrete);
     Alcotest.test_case "inject order pinned (counted)" `Quick (test_inject_order `Auto);
     Alcotest.test_case "counted shares one inbox" `Quick test_counted_shares_inbox;
+    Alcotest.test_case "k injections to one slot cost O(k) (counted)" `Quick
+      test_many_injections_linear;
+    Alcotest.test_case "odd-round injections at n >= 64: counted == concrete" `Quick
+      test_alternating_paths_large_n;
   ]

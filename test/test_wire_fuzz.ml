@@ -225,6 +225,50 @@ let prop_corruption_total =
         | None -> false
         | Some bytes -> W.decode_plain bytes = Some m'))
 
+(* -- grouping: the counted engine's equality is the wire's -- *)
+
+(* A random signature-free message and a second one built to be close
+   to it: a structurally equal copy, an advice vector at n >= 127 that
+   differs only past bit 63, a [Conc] set reordered or with a duplicate,
+   another tag or value, or an unrelated message. *)
+let gen_plain_pair rng =
+  let advice_of_length len = Advice.init len (fun _ -> Rng.bool rng) in
+  let a =
+    match Rng.int rng 3 with
+    | 0 -> W.Advice (advice_of_length (127 + Rng.int rng 100))
+    | 1 -> W.Conc (Rng.int rng 5, Rng.int rng 3, List.init (2 + Rng.int rng 5) (fun _ -> Rng.int rng 50))
+    | _ -> gen_plain rng
+  in
+  let b =
+    match (Rng.int rng 5, a) with
+    | 0, W.Advice x -> W.Advice (Option.get (Advice.of_bits (Advice.to_bits x)))
+    | 0, W.Conc (tag, v, l) -> W.Conc (tag, v, List.map Fun.id l)
+    | 1, W.Advice x when Advice.length x > 63 ->
+      W.Advice (Advice.flip x (63 + Rng.int rng (Advice.length x - 63)))
+    | 1, W.Conc (tag, v, (y :: z :: rest as l)) ->
+      if Rng.bool rng then W.Conc (tag, v, z :: y :: rest) else W.Conc (tag, v, l @ [ y ])
+    | 2, W.Conc (tag, v, l) -> W.Conc (tag + Rng.int rng 2, v + Rng.int rng 2, l)
+    | 2, (W.Gc_init (tag, v) | W.Gc_echo (tag, v) | W.King (tag, v)) ->
+      W.Gc_init (tag + Rng.int rng 2, v + Rng.int rng 2)
+    | 3, _ -> a
+    | _ -> gen_plain rng
+  in
+  (a, b)
+
+let prop_grouping_is_wire_equality =
+  qcheck ~count:500 ~name:"equal iff same plain bytes; equal implies same hash"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let a, b = gen_plain_pair rng in
+      let same_bytes = W.encode_plain a = W.encode_plain b in
+      if W.equal a b <> same_bytes then
+        QCheck2.Test.fail_reportf "equal %b but same bytes %b: %a / %a" (W.equal a b) same_bytes
+          W.pp a W.pp b
+      else if W.equal a b && W.hash a <> W.hash b then
+        QCheck2.Test.fail_reportf "equal but hashes differ: %a" W.pp a
+      else true)
+
 let prop_signed_always_drop =
   qcheck ~count:50 ~name:"corrupting signature-carrying messages always drops"
     QCheck2.Gen.(int_range 0 8192)
@@ -240,4 +284,5 @@ let suite =
     prop_plain_roundtrip;
     prop_corruption_total;
     prop_signed_always_drop;
+    prop_grouping_is_wire_equality;
   ]
