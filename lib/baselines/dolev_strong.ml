@@ -59,7 +59,7 @@ end = struct
     let collect inbox ~length =
       (* One pass over the inbox, each chain dispatched to its instance. *)
       List.iter (fun st -> st.fresh <- []) states;
-      Bap_sim.Inbox.iter inbox ~f:(fun msgs ->
+      Bap_sim.Inbox.iteri inbox ~f:(fun _ msgs ->
           List.iter
             (function
               | W.Ds_chain (tg, s, chain) when tg = tag && s >= 0 && s < n -> (

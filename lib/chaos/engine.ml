@@ -81,11 +81,11 @@ module Make (V : Bap_core.Value.S) = struct
     let bound = round_bound cfg in
     let adversary = Injector.adversary ~mutant cfg.schedule in
     let network = Injector.network cfg.schedule in
-    (* Without a trace the runtime may take its counted fast path and
-       the monitor oracle is skipped: the decision-level oracles
-       (agreement/validity/termination) still run. The model checker
-       uses this to afford exhaustive enumeration; the fuzzer keeps the
-       full-observer default. *)
+    (* Without a trace (and without a network-side fault) the runtime
+       takes its counted fast path and the monitor oracle is skipped:
+       the decision-level oracles (agreement/validity/termination) still
+       run. The model checker uses this to afford exhaustive
+       enumeration; the fuzzer keeps the full-observer default. *)
     let trace = if with_trace then Some (Trace.create ~limit:2_000_000 ()) else None in
     let max_rounds = bound + 5 in
     let outcome =
@@ -94,7 +94,7 @@ module Make (V : Bap_core.Value.S) = struct
           (match cfg.protocol with
           | Unauth ->
             let o =
-              S.run_unauth ~adversary ?trace ~max_rounds ~network ~t ~faulty:cfg.faulty
+              S.run_unauth ~adversary ?trace ~max_rounds ?network ~t ~faulty:cfg.faulty
                 ~inputs:cfg.inputs ~advice:cfg.advice ()
             in
             ( List.map (fun (i, r) -> (i, r.S.Wrapper.value)) (S.R.honest_decisions o),
@@ -103,14 +103,14 @@ module Make (V : Bap_core.Value.S) = struct
             let o, _pki =
               S.run_auth
                 ~adversary:(fun _pki -> adversary)
-                ?trace ~max_rounds ~network ~t ~faulty:cfg.faulty ~inputs:cfg.inputs
+                ?trace ~max_rounds ?network ~t ~faulty:cfg.faulty ~inputs:cfg.inputs
                 ~advice:cfg.advice ()
             in
             ( List.map (fun (i, r) -> (i, r.S.Wrapper.value)) (S.R.honest_decisions o),
               o.S.R.rounds )
           | Es_baseline ->
             let o =
-              S.R.run ~max_rounds ?trace ~network ~n ~faulty:cfg.faulty ~adversary
+              S.R.run ~max_rounds ?trace ?network ~n ~faulty:cfg.faulty ~adversary
                 (fun ctx ->
                   let gc c ~tag v = S.Graded_unauth.run c ~t ~tag v in
                   S.Early_stopping.run ctx ~gc ~gc_rounds:S.Graded_unauth.rounds
@@ -123,7 +123,7 @@ module Make (V : Bap_core.Value.S) = struct
               o.S.R.rounds )
           | Pk_baseline ->
             let o =
-              S.R.run ~max_rounds ?trace ~network ~n ~faulty:cfg.faulty ~adversary
+              S.R.run ~max_rounds ?trace ?network ~n ~faulty:cfg.faulty ~adversary
                 (fun ctx ->
                   let gc c ~tag v = S.Graded_unauth.run c ~t ~tag v in
                   Pk.run ctx ~gc ~t ~base_tag:0 cfg.inputs.(S.R.id ctx))

@@ -119,20 +119,31 @@ module Make (V : Bap_core.Value.S) (W : Bap_core.Wire.S with type value = V.t) =
     | None -> None
     | Some bytes -> W.decode_plain (flip_bit bytes bit)
 
-  let network schedule ~round ~src ~dst msgs =
-    (* Self-delivery is process-local state, not network traffic. *)
-    if src = dst || msgs = [] then msgs
+  (* The hook is the identity on a schedule without a network-side
+     fault, and installing one keeps the run on the runtime's concrete
+     per-pair engine: such a schedule gets no hook. *)
+  let network schedule =
+    let network_side = function
+      | Schedule.Drop _ | Schedule.Duplicate _ | Schedule.Reorder _ | Schedule.Corrupt _ -> true
+      | _ -> false
+    in
+    if not (List.exists network_side schedule) then None
     else
-      List.fold_left
-        (fun msgs fault ->
-          match fault with
-          | Schedule.Drop f when f.src = src && f.dst = dst && f.round = round -> []
-          | Schedule.Duplicate f when f.src = src && f.dst = dst && f.round = round ->
-            msgs @ msgs
-          | Schedule.Reorder f when f.src = src && f.dst = dst && f.round = round ->
-            List.rev msgs
-          | Schedule.Corrupt f when f.src = src && f.dst = dst && f.round = round ->
-            List.filter_map (corrupt_msg ~bit:f.bit) msgs
-          | _ -> msgs)
-        msgs schedule
+      Some
+        (fun ~round ~src ~dst msgs ->
+          (* Self-delivery is process-local state, not network traffic. *)
+          if src = dst || msgs = [] then msgs
+          else
+            List.fold_left
+              (fun msgs fault ->
+                match fault with
+                | Schedule.Drop f when f.src = src && f.dst = dst && f.round = round -> []
+                | Schedule.Duplicate f when f.src = src && f.dst = dst && f.round = round ->
+                  msgs @ msgs
+                | Schedule.Reorder f when f.src = src && f.dst = dst && f.round = round ->
+                  List.rev msgs
+                | Schedule.Corrupt f when f.src = src && f.dst = dst && f.round = round ->
+                  List.filter_map (corrupt_msg ~bit:f.bit) msgs
+                | _ -> msgs)
+              msgs schedule)
 end

@@ -14,12 +14,14 @@
    layer in both orders — for BFS that is literally the peak resident
    frontier.
 
-   Engine runs go through the trace-free fast path
-   ([E.run ~with_trace:false]): the monitor-soundness oracle needs a
-   delivery trace and is therefore out of the checker's scope (the
-   sampled fuzzer keeps it); agreement, validity and the round bound
-   are checked on every state. Stats are mirrored into the telemetry
-   metrics registry under [check.*]. *)
+   Engine runs go through the trace-free path ([E.run ~with_trace:false]):
+   every schedule without a network-side fault runs on the counted
+   engine, the one the sweeps and the service use, and the rest on the
+   concrete one. The monitor-soundness oracle needs a delivery trace and
+   is therefore out of the checker's scope (the sampled fuzzer keeps
+   it); agreement, validity and the round bound are checked on every
+   state. Stats are mirrored into the telemetry metrics registry under
+   [check.*]. *)
 
 module E = Bap_chaos.Fuzz.E
 module Fuzz = Bap_chaos.Fuzz

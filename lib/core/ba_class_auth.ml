@@ -87,15 +87,13 @@ end = struct
             Some s
           | _ -> None)
       in
-      let supporter_ids = Inbox.senders signatures in
+      (* The certificate: the first [quorum] supporters by id. *)
+      let supporters = ref 0 and chosen = ref [] in
+      Inbox.votes_iteri signatures ~f:(fun j s ->
+          if !supporters < quorum then chosen := (j, s) :: !chosen;
+          incr supporters);
       let cc =
-        if List.length supporter_ids >= quorum then
-          let chosen = List.filteri (fun idx _ -> idx < quorum) supporter_ids in
-          Some
-            {
-              W.cc_member = me;
-              cc_sigs = List.map (fun j -> (j, Option.get (Inbox.votes_get signatures j))) chosen;
-            }
+        if !supporters >= quorum then Some { W.cc_member = me; cc_sigs = List.rev !chosen }
         else None
       in
       (* Rounds 2 .. k+2: the n parallel broadcasts. *)

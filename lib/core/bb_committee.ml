@@ -91,7 +91,7 @@ end = struct
          transporter (validity comes from the signatures, not the
          channel): one pass over the inbox, dispatched by sender. *)
       List.iter (fun st -> st.fresh <- []) states;
-      Bap_sim.Inbox.iter inbox ~f:(fun msgs ->
+      Bap_sim.Inbox.iteri inbox ~f:(fun _ msgs ->
           List.iter
             (function
               | W.Bb_chain (tg, s, chain) when tg = tag && s >= 0 && s < n -> (

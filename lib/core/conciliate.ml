@@ -39,9 +39,12 @@ end = struct
        indexes it by position, so the work is in |T_i| and the declared
        sets, not in n. An id outside [0, n) that a faulty sender
        declares is in no table, so it adds no edge. *)
-    let ids = Array.of_list (Inbox.senders received) in
+    let ids = ref [] and entries = ref [] in
+    Inbox.votes_iteri received ~f:(fun y entry ->
+        ids := y :: !ids;
+        entries := entry :: !entries);
+    let ids = Array.of_list (List.rev !ids) and entries = Array.of_list (List.rev !entries) in
     let size = Array.length ids in
-    let entries = Array.map (fun y -> Option.get (Inbox.votes_get received y)) ids in
     let position y =
       let rec search lo hi =
         if lo > hi then -1

@@ -232,7 +232,7 @@ end = struct
         (List.init n (fun d -> d))
     in
     let inbox3 = R.broadcast ctx (W.Gcast_report (tag, my_reports)) in
-    Inbox.iter inbox3 ~f:(fun msgs ->
+    Inbox.iteri inbox3 ~f:(fun _ msgs ->
         List.iter
           (function
             | W.Gcast_report (tg, reports) when tg = tag ->

@@ -45,5 +45,3 @@ let compare a b =
     | 0 -> String.compare a.sig_payload b.sig_payload
     | c -> c)
   | c -> c
-
-let pp_signature ppf s = Fmt.pf ppf "<sig:%d on %d bytes>" s.sig_signer (String.length s.sig_payload)

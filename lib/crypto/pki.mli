@@ -46,4 +46,3 @@ val encode : signature -> string
 
 val equal : signature -> signature -> bool
 val compare : signature -> signature -> int
-val pp_signature : signature Fmt.t

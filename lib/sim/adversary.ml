@@ -92,12 +92,3 @@ let custom name step =
     name;
     make = (fun ~n ~faulty -> handlers ~filter:mute_filter ~inject:(step ~n ~faulty) ());
   }
-
-let stateful_custom name make_step =
-  {
-    name;
-    make =
-      (fun ~n ~faulty ->
-        let step = make_step ~n ~faulty in
-        handlers ~filter:mute_filter ~inject:step ());
-  }

@@ -97,8 +97,3 @@ val compose : 'msg t list -> 'msg t
 val custom : string -> (n:int -> faulty:int array -> 'msg view -> 'msg send list) -> 'msg t
 (** Fully scripted adversary: puppets are muted and every faulty message
     comes from the supplied function. *)
-
-val stateful_custom :
-  string -> (n:int -> faulty:int array -> ('msg view -> 'msg send list)) -> 'msg t
-(** Like {!custom} but [make] runs once per execution, so the returned
-    closure can carry mutable state across rounds. *)

@@ -97,22 +97,38 @@ let get t sender =
       in
       scan 0)
 
-let to_array = function
-  | Concrete arr -> Array.copy arr
-  | Counted { n; groups; direct; _ } ->
-    let arr = Array.make n [] in
-    Array.iter
-      (fun (msgs, senders) -> Bitset.iter senders ~f:(fun s -> arr.(s) <- msgs))
-      groups;
-    Array.iter (fun (s, msgs) -> arr.(s) <- msgs) direct;
-    arr
+(* Every (sender, entry) of a counted representation, ascending by
+   sender: the union of the groups' disjoint sender sets (a bitset of
+   n/63 words), each member looked up in the groups, merged with the
+   sorted direct entries. One step per entry, never an n-slot view. *)
+let walk ~n groups direct ~f =
+  let d = ref 0 in
+  let direct_below s =
+    while !d < Array.length direct && fst direct.(!d) < s do
+      let s', x = direct.(!d) in
+      f s' x;
+      incr d
+    done
+  in
+  let rec owner s i =
+    match groups.(i) with x, set when Bitset.get set s -> x | _ -> owner s (i + 1)
+  in
+  let grouped = Bitset.create n in
+  Array.iter (fun (_, set) -> Bitset.union_into ~into:grouped set) groups;
+  Bitset.iter grouped ~f:(fun s ->
+      direct_below s;
+      f s (owner s 0));
+  direct_below max_int
 
 let iteri t ~f =
+  let delivered s = function [] -> () | msgs -> f s msgs in
   match t with
-  | Concrete arr -> Array.iteri f arr
-  | Counted _ -> Array.iteri f (to_array t)
+  | Concrete arr -> Array.iteri delivered arr
+  | Counted { n; groups; direct; _ } -> walk ~n groups direct ~f:delivered
 
-let iter t ~f = iteri t ~f:(fun _ msgs -> f msgs)
+(* Votes held as sparse entries only: senders with no accepted value are
+   absent. [rev_entries] is descending by sender. *)
+let sparse n rev_entries = Vcnt { n; groups = [||]; direct = Array.of_list (List.rev rev_entries) }
 
 let first t ~f =
   match t with
@@ -130,56 +146,32 @@ let first t ~f =
 let firsti t ~f =
   match t with
   | Concrete arr -> Varr (Array.mapi (fun sender msgs -> List.find_map (f sender) msgs) arr)
-  | Counted { n; groups; direct; _ } ->
-    let arr = Array.make n None in
-    Array.iter
-      (fun (msgs, senders) ->
-        Bitset.iter senders ~f:(fun s -> arr.(s) <- List.find_map (f s) msgs))
-      groups;
-    Array.iter (fun (s, msgs) -> arr.(s) <- List.find_map (f s) msgs) direct;
-    Varr arr
-
-let all t ~f = Array.map (fun msgs -> List.filter_map f msgs) (to_array t)
+  | Counted { n; _ } ->
+    let acc = ref [] in
+    iteri t ~f:(fun s msgs ->
+        match List.find_map (f s) msgs with
+        | Some _ as entry -> acc := (s, entry) :: !acc
+        | None -> ());
+    sparse n !acc
 
 (* -- votes -- *)
 
 let votes arr = Varr arr
 
-let votes_length = function Varr arr -> Array.length arr | Vcnt { n; _ } -> n
-
-let votes_get v sender =
+let votes_iteri v ~f =
+  let accepted s = function Some x -> f s x | None -> () in
   match v with
-  | Varr arr -> arr.(sender)
-  | Vcnt { n; groups; direct } ->
-    if sender < 0 || sender >= n then invalid_arg "Inbox.votes_get: sender out of range";
-    (match find_sparse direct sender with
-    | Some entry -> entry
-    | None ->
-      let rec scan i =
-        if i >= Array.length groups then None
-        else
-          let entry, senders = groups.(i) in
-          if Bitset.get senders sender then entry else scan (i + 1)
-      in
-      scan 0)
-
-let votes_to_array = function
-  | Varr arr -> Array.copy arr
-  | Vcnt { n; groups; direct } ->
-    let arr = Array.make n None in
-    Array.iter
-      (fun (entry, senders) ->
-        match entry with
-        | None -> ()
-        | Some _ -> Bitset.iter senders ~f:(fun s -> arr.(s) <- entry))
-      groups;
-    Array.iter (fun (s, entry) -> arr.(s) <- entry) direct;
-    arr
+  | Varr arr -> Array.iteri accepted arr
+  | Vcnt { n; groups; direct } -> walk ~n groups direct ~f:accepted
 
 let votes_mapi v ~f =
   match v with
   | Varr arr -> Varr (Array.mapi f arr)
-  | Vcnt _ -> Varr (Array.mapi f (votes_to_array v))
+  | Vcnt { n; groups; direct } ->
+    let acc = ref [] in
+    walk ~n groups direct ~f:(fun s entry ->
+        match f s entry with Some _ as entry' -> acc := (s, entry') :: !acc | None -> ());
+    sparse n !acc
 
 (* Fold over (value, multiplicity) pairs. The counted representation
    visits each distinct accepted value once with its sender-set
@@ -226,25 +218,6 @@ let plurality v ~compare =
       | None -> Some (x, c)
       | Some (bv, bc) -> if c > bc || (c = bc && compare x bv < 0) then Some (x, c) else best)
     None counts
-
-let senders v =
-  match v with
-  | Varr arr ->
-    let acc = ref [] in
-    for i = Array.length arr - 1 downto 0 do
-      match arr.(i) with Some _ -> acc := i :: !acc | None -> ()
-    done;
-    !acc
-  | Vcnt { n; groups; direct } ->
-    let present = Bitset.create n in
-    Array.iter
-      (fun (entry, senders) ->
-        match entry with None -> () | Some _ -> Bitset.union_into ~into:present senders)
-      groups;
-    Array.iter
-      (fun (s, entry) -> match entry with Some _ -> Bitset.set present s | None -> ())
-      direct;
-    Bitset.to_list present
 
 let restrict v ~keep =
   match v with

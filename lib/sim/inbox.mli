@@ -1,13 +1,22 @@
 (** A round's inbox and the per-sender vote extracts protocols read off
     it.
 
-    An inbox (as returned by {!Runtime.S.exchange}) maps each sender to
-    the messages it delivered this round. Two representations coexist:
-    the classic concrete per-sender array, and the scalable core's
-    counted form, where identical honest broadcasts collapse into
-    (payload, sender-bitset) groups plus sparse per-sender overrides.
-    All reading operations behave identically on both; the runtime's
-    differential tests assert byte-identical protocol outcomes.
+    An inbox (as returned by {!Runtime.S.broadcast} and the other round
+    calls) maps each sender to the messages it delivered this round. Two
+    representations coexist: the classic concrete per-sender array, and
+    the scalable core's counted form, where identical honest broadcasts
+    collapse into (payload, sender-bitset) groups plus sparse per-sender
+    overrides. All reading operations behave identically on both; the
+    runtime's differential tests assert byte-identical protocol
+    outcomes.
+
+    There are two ways to read a round: a tally ({!first} or {!firsti},
+    then {!count}, {!plurality} or {!fold_weighted}), and a walk over
+    the senders that delivered, in ascending order ({!iteri} over
+    messages, {!votes_iteri} over accepted votes). {!get} is a point
+    read. On a counted inbox no reader builds an n-slot view: a walk
+    costs one step per sender that delivered, plus a bitset of n/63
+    words.
 
     Byzantine senders may deliver several or malformed messages;
     protocol steps therefore parse with a partial function and, where a
@@ -66,14 +75,12 @@ val memo :
     argument, and nobody may mutate the result. *)
 
 val get : 'msg t -> int -> 'msg list
-(** Messages from one sender ([[]] if it delivered nothing). *)
-
-val to_array : 'msg t -> 'msg list array
-
-val iter : 'msg t -> f:('msg list -> unit) -> unit
-(** Slots in sender order, including empty ones. *)
+(** Messages from one sender ([[]] if it delivered nothing). On a
+    counted inbox O(log |direct| + groups). *)
 
 val iteri : 'msg t -> f:(int -> 'msg list -> unit) -> unit
+(** [iteri inbox ~f] calls [f sender msgs] for each sender that
+    delivered something, in ascending sender order. *)
 
 val first : 'msg t -> f:('msg -> 'a option) -> 'a votes
 (** [first inbox ~f] keeps, per sender, the first message that [f]
@@ -82,18 +89,21 @@ val first : 'msg t -> f:('msg -> 'a option) -> 'a votes
 
 val firsti : 'msg t -> f:(int -> 'msg -> 'a option) -> 'a votes
 (** Like {!first} for sender-dependent parsers (e.g. signature checks
-    against the channel). Runs once per sender on any representation. *)
-
-val all : 'msg t -> f:('msg -> 'a option) -> 'a list array
-(** Every accepted message, per sender. *)
+    against the channel): [f sender] parses the messages of each sender
+    that delivered, in ascending sender order, so it too must be pure. *)
 
 val votes : 'a option array -> 'a votes
 (** Wrap a plain per-sender vote array (e.g. one assembled locally). *)
 
-val votes_length : 'a votes -> int
-val votes_get : 'a votes -> int -> 'a option
-val votes_to_array : 'a votes -> 'a option array
+val votes_iteri : 'a votes -> f:(int -> 'a -> unit) -> unit
+(** [votes_iteri votes ~f] calls [f sender v] for each sender with an
+    accepted value [v], in ascending sender order. *)
+
 val votes_mapi : 'a votes -> f:(int -> 'a option -> 'b option) -> 'b votes
+(** [votes_mapi votes ~f] rewrites each sender's entry. [f] runs for
+    every sender that delivered (its entry possibly [None]); on a
+    counted extract a sender that delivered nothing stays absent, so
+    [f sender None] must be [None]. *)
 
 val fold_weighted : 'a votes -> init:'b -> f:('b -> 'a -> int -> 'b) -> 'b
 (** Fold over (value, multiplicity) entries. The counted representation
@@ -109,9 +119,6 @@ val plurality : 'a votes -> compare:('a -> 'a -> int) -> ('a * int) option
 (** The value accepted from the most senders together with its
     multiplicity; ties broken towards the smallest value. [None] when no
     sender's value was accepted. *)
-
-val senders : 'a votes -> int list
-(** Senders with an accepted value, ascending. *)
 
 val restrict : 'a votes -> keep:Bitset.t -> 'a votes
 (** Drop the votes of senders outside [keep] (listening-set

@@ -17,7 +17,6 @@ module type S = sig
   val id : ctx -> int
   val n : ctx -> int
   val round : ctx -> int
-  val exchange : ctx -> (int -> msg list) -> msg Inbox.t
   val broadcast_list : ctx -> msg list -> msg Inbox.t
   val broadcast : ctx -> msg -> msg Inbox.t
   val send_to : ctx -> (int * msg) list -> msg Inbox.t
@@ -70,18 +69,15 @@ module Make (M : MSG) : S with type msg = M.t = struct
   (* The two outbox shapes a fiber can yield. [Obroadcast] is the
      counted engine's native form: recipient-independent, so identical
      honest broadcasts aggregate into one (payload, sender-set) group.
-     [Ofun] forces per-recipient materialisation on either path. *)
-  type outbox = Obroadcast of msg list | Ofun of (int -> msg list)
+     [Opairs] is unicast, laid out as one per-recipient row on either
+     path. *)
+  type outbox = Obroadcast of msg list | Opairs of (int * msg) list
 
   type _ Effect.t += Exchange : outbox -> msg Inbox.t Effect.t
 
-  let exchange _ctx f = Effect.perform (Exchange (Ofun f))
   let broadcast_list _ctx msgs = Effect.perform (Exchange (Obroadcast msgs))
   let broadcast ctx m = broadcast_list ctx [ m ]
-
-  let send_to ctx pairs =
-    let outbox j = List.filter_map (fun (dst, m) -> if dst = j then Some m else None) pairs in
-    exchange ctx outbox
+  let send_to _ctx pairs = Effect.perform (Exchange (Opairs pairs))
 
   let silent_round ctx = broadcast_list ctx []
 
@@ -105,8 +101,8 @@ module Make (M : MSG) : S with type msg = M.t = struct
 
   exception Round_limit_exceeded of int
 
-  (* A fiber is either finished with a result or suspended at an
-     [exchange], holding its outbox and the continuation expecting the
+  (* A fiber is either finished with a result or suspended at the end of
+     a round, holding its outbox and the continuation expecting the
      round's inbox. *)
   type 'r status =
     | Finished of 'r
@@ -126,8 +122,20 @@ module Make (M : MSG) : S with type msg = M.t = struct
             | _ -> None);
       }
 
-  (* A sender's effective traffic shape on the counted path. *)
+  (* A sender's effective traffic shape on the counted path, and what it
+     sends to [dst]. *)
   type shape = RNone | RBroadcast of msg list | RRow of msg list array
+
+  let slot shape dst = match shape with RNone -> [] | RBroadcast msgs -> msgs | RRow r -> r.(dst)
+
+  (* Lay unicast [pairs] into the empty [row]: slot [dst] holds the
+     messages to [dst] in send order. A pair naming no process is
+     dropped. O(pairs). *)
+  let lay_out row pairs =
+    let n = Array.length row in
+    List.iter
+      (fun (dst, m) -> if dst >= 0 && dst < n then row.(dst) <- m :: row.(dst))
+      (List.rev pairs)
 
   (* One round's broadcast groups. [add src msgs] puts an honest
      sender's list into the group of equal lists, opening one if needed,
@@ -251,7 +259,7 @@ module Make (M : MSG) : S with type msg = M.t = struct
              dst !round)
     in
     (* The sim.run span covers the spawn too: the first segment of every
-       protocol (up to its first exchange) runs inside [spawn], and any
+       protocol (up to its first round) runs inside [spawn], and any
        phase spans it opens must land inside this one. *)
     Tel.span ~cat:"sim" ~name:"sim.run"
       ~attrs:(fun () -> [ ("n", Tel.Int n); ("f", Tel.Int (Array.length faulty)) ])
@@ -282,15 +290,11 @@ module Make (M : MSG) : S with type msg = M.t = struct
     let concrete_round (arena : msg Arena.t) =
       Arena.clear arena;
       let out = arena.Arena.out and eff = arena.Arena.eff in
-      (* Materialise the outboxes so each is evaluated exactly once. *)
       Array.iteri
         (fun src st ->
           match st with
           | Yielded (Obroadcast msgs, _) -> Array.fill out.(src) 0 n msgs
-          | Yielded (Ofun f, _) ->
-            for dst = 0 to n - 1 do
-              out.(src).(dst) <- f dst
-            done
+          | Yielded (Opairs pairs, _) -> lay_out out.(src) pairs
           | Finished _ -> ())
         status;
       let view =
@@ -408,9 +412,7 @@ module Make (M : MSG) : S with type msg = M.t = struct
         Some (grouper ~n ~key ~hash ~equal)
       | Some _ | None -> None
     in
-    let base_of src dst =
-      match ekind.(src) with RNone -> [] | RBroadcast msgs -> msgs | RRow r -> r.(dst)
-    in
+    let base_of src dst = slot ekind.(src) dst in
     (* A recipient's overridden (src, i) slots, each built once: its
        base traffic, then its injections in injection order. Staging
        walks [inj_rev] newest first, so consing leaves each source's
@@ -452,14 +454,16 @@ module Make (M : MSG) : S with type msg = M.t = struct
       Array.fill ekind 0 n RNone;
       Array.fill grouped 0 n false;
       Array.fill own_len 0 n 0;
-      (* 1. Materialise outboxes: same evaluation order and call counts
-         as the concrete path (function outboxes run once per recipient,
-         destinations ascending, sources ascending). *)
+      (* 1. Outboxes: a broadcast stays one list, unicast pairs become
+         one row. *)
       Array.iteri
         (fun src st ->
           match st with
           | Yielded (Obroadcast msgs, _) -> kind.(src) <- RBroadcast msgs
-          | Yielded (Ofun f, _) -> kind.(src) <- RRow (Array.init n f)
+          | Yielded (Opairs pairs, _) ->
+            let row = Array.make n [] in
+            lay_out row pairs;
+            kind.(src) <- RRow row
           | Finished _ -> ())
         status;
       let view =
@@ -469,12 +473,7 @@ module Make (M : MSG) : S with type msg = M.t = struct
           faulty;
           honest_out =
             (fun ~sender ~recipient ->
-              if is_faulty.(sender) then []
-              else
-                match kind.(sender) with
-                | RNone -> []
-                | RBroadcast msgs -> msgs
-                | RRow r -> r.(recipient));
+              if is_faulty.(sender) then [] else slot kind.(sender) recipient);
         }
       in
       (* 2. Honest senders: aggregate broadcast shapes into groups. A
@@ -510,9 +509,7 @@ module Make (M : MSG) : S with type msg = M.t = struct
           else if handlers.Adversary.filter == Adversary.identity_filter then (
             match pk with RNone | RBroadcast [] -> () | k -> ekind.(src) <- k)
           else begin
-            let puppet dst =
-              match pk with RNone -> [] | RBroadcast msgs -> msgs | RRow r -> r.(dst)
-            in
+            let puppet = slot pk in
             ekind.(src) <-
               RRow (Array.init n (fun dst -> handlers.Adversary.filter view ~src puppet dst))
           end)
@@ -557,10 +554,10 @@ module Make (M : MSG) : S with type msg = M.t = struct
             done
       done;
       adversary_sent := !adversary_sent + !inj_adv;
-      (* 6. Assemble inboxes. With no function-shaped traffic and no
-         injections every recipient shares one immutable inbox, marked
-         shared so derivations every recipient reads the same way run
-         once on it. *)
+      (* 6. Assemble inboxes. With no unicast rows and no injections
+         every recipient shares one immutable inbox, marked shared so
+         derivations every recipient reads the same way run once on
+         it. *)
       let groups_arr = Array.of_list groups in
       let shared_direct = ref [] and row_srcs = ref [] in
       for src = n - 1 downto 0 do
@@ -591,25 +588,10 @@ module Make (M : MSG) : S with type msg = M.t = struct
           | [] -> Inbox.counted ~n ~groups:groups_arr ~direct:shared_direct
           | ov ->
             let ov_sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) ov in
-            (* Keep the group/direct disjointness invariant: an
-               overridden sender leaves its group for this recipient. *)
-            let grouped_ov = List.filter (fun (src, _) -> grouped.(src)) ov_sorted in
-            let groups_i =
-              match grouped_ov with
-              | [] -> groups_arr
-              | _ :: _ ->
-                Array.map
-                  (fun (msgs, set) ->
-                    if List.exists (fun (src, _) -> Bitset.get set src) grouped_ov then begin
-                      let set' = Bitset.copy set in
-                      List.iter
-                        (fun (src, _) -> if Bitset.get set' src then Bitset.clear set' src)
-                        grouped_ov;
-                      (msgs, set')
-                    end
-                    else (msgs, set))
-                  groups_arr
-            in
+            (* The overrides stay disjoint from every group: a grouped
+               sender is an honest broadcaster, and overrides come only
+               from unicast rows, non-canonical filters (faulty senders)
+               and injections (faulty senders, [validate_send]). *)
             let rec merge acc ds ovs =
               match (ds, ovs) with
               | [], rest | rest, [] -> List.rev_append acc rest
@@ -619,7 +601,7 @@ module Make (M : MSG) : S with type msg = M.t = struct
                 else merge (o :: acc) ds' ovs'
             in
             let direct = Array.of_list (merge [] (Array.to_list shared_direct) ov_sorted) in
-            Inbox.counted ~n ~groups:groups_i ~direct)
+            Inbox.counted ~n ~groups:groups_arr ~direct)
       in
       let skip_filter_in = handlers.Adversary.filter_in == Adversary.identity_in in
       Array.iteri

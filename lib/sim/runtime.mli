@@ -6,11 +6,13 @@
     fixes the faulty processes' messages after seeing the honest ones, and
     then every process receives the round's messages and computes.
 
-    Protocol code is written in direct style: it calls {!S.exchange} once
-    per round and otherwise is ordinary OCaml. Suspension is implemented
-    with OCaml 5 effect handlers, so sub-protocols compose by plain
-    function calls — Algorithm 1 of the paper is literally a [for] loop
-    over function calls.
+    Protocol code is written in direct style: it ends each round with
+    one send — a broadcast ({!S.broadcast_list}, {!S.broadcast},
+    {!S.silent_round}) or a unicast ({!S.send_to}) — which returns the
+    round's {!Inbox}, and otherwise is ordinary OCaml. Suspension is
+    implemented with OCaml 5 effect handlers, so sub-protocols compose
+    by plain function calls — Algorithm 1 of the paper is literally a
+    [for] loop over function calls.
 
     Two delivery engines implement the same semantics:
 
@@ -20,9 +22,9 @@
       individual edges;
     - the {e counted} path aggregates identical honest broadcasts into
       (payload, sender-bitset) groups and never materialises the n
-      copies, falling back to per-pair handling only for function-shaped
-      outboxes and for faulty senders whose filter is not one of the
-      canonical {!Adversary} combinators. When a round has neither
+      copies, falling back to per-recipient rows only for unicast
+      ({!S.send_to}) and for faulty senders whose filter is not one of
+      the canonical {!Adversary} combinators. When a round has neither
       those nor injections, every recipient gets one {!Inbox.shared}
       inbox, on which a derivation every recipient reads the same way
       runs once ({!Inbox.memo}).
@@ -59,19 +61,14 @@ module type S = sig
   val n : ctx -> int
 
   val round : ctx -> int
-  (** Rounds start at 1; 0 before the first exchange. *)
+  (** Rounds start at 1; 0 before the first round's send. *)
 
-  val exchange : ctx -> (int -> msg list) -> msg Inbox.t
-  (** [exchange ctx outbox] ends the local computation for this round.
-      [outbox j] is the list of messages sent to process [j] (the function
-      is called exactly once per recipient, including the caller itself,
-      and must be effect-free). The result is the round's inbox: slot [j]
-      holds the messages received from process [j]. Messages to self are
-      delivered but never counted in the message-complexity metrics.
+  (** {2 Rounds}
 
-      A function-shaped outbox forces per-recipient materialisation; use
-      {!broadcast_list} when every recipient gets the same messages so
-      the counted engine can aggregate. *)
+      Each of the next four calls ends the caller's local computation
+      for the current round and returns the round's inbox: what each
+      sender delivered to the caller. Messages to self are delivered but
+      never counted in the message-complexity metrics. *)
 
   val broadcast_list : ctx -> msg list -> msg Inbox.t
   (** Send the same message list to everybody (including self). The
@@ -82,7 +79,12 @@ module type S = sig
   (** Send one message to everybody (including self). *)
 
   val send_to : ctx -> (int * msg) list -> msg Inbox.t
-  (** Sparse unicast: send each [(recipient, msg)] pair. *)
+  (** Unicast: send each [(recipient, msg)] pair. A recipient gets its
+      pairs in send order; a pair naming no process (a recipient outside
+      [0, n)) delivers nothing and is not counted. Either engine lays
+      the pairs out as one per-recipient row, in O(n + pairs); use
+      {!broadcast_list} when every recipient gets the same messages, so
+      the counted engine can aggregate. *)
 
   val silent_round : ctx -> msg Inbox.t
   (** Send nothing, still receive. *)

@@ -33,18 +33,17 @@ let run_election ~n ~t ~k ~f ~m ~seed =
             l_set
         in
         let inbox = S.R.send_to ctx votes in
-        let supporters =
-          Array.mapi
-            (fun sender msgs ->
+        let supporters = ref 0 in
+        Bap_sim.Inbox.iteri inbox ~f:(fun sender msgs ->
+            if
               List.exists
                 (function
                   | S.W.Committee_vote (_, s) ->
                     Pki.verify pki ~signer:sender ~payload:(S.W.committee_payload i) s
                   | _ -> false)
-                msgs)
-            (Bap_sim.Inbox.to_array inbox)
-        in
-        Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 supporters >= t + 1)
+                msgs
+            then incr supporters);
+        !supporters >= t + 1)
   in
   (* The committee also includes faulty processes with enough votes; the
      puppets ran the same code, so read their results too. *)

@@ -166,7 +166,7 @@ let no_leak_body rounds ctx =
       if (me + r) mod 3 = 0 then IR.broadcast ctx ((r * 1000) + me)
       else IR.silent_round ctx
     in
-    Inbox.iter inbox ~f:(List.iter (fun m -> if m / 1000 <> r then ok := false))
+    Inbox.iteri inbox ~f:(fun _ -> List.iter (fun m -> if m / 1000 <> r then ok := false))
   done;
   !ok
 
@@ -324,7 +324,9 @@ let test_counted_shares_inbox () =
     IR.run ~n:6 ~faulty:[||] ~adversary:Bap_sim.Adversary.passive (fun ctx ->
         let inbox = IR.broadcast ctx 7 in
         let votes = Inbox.first inbox ~f:(fun m -> Some m) in
-        (Inbox.count votes ~eq:Int.equal 7, Inbox.senders votes))
+        let senders = ref [] in
+        Inbox.votes_iteri votes ~f:(fun s _ -> senders := s :: !senders);
+        (Inbox.count votes ~eq:Int.equal 7, List.rev !senders))
   in
   Array.iter
     (function

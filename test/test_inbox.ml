@@ -22,6 +22,17 @@ let both name check =
   check (name ^ " (concrete)") (concrete ());
   check (name ^ " (counted)") (counted ())
 
+(* Per-sender views rebuilt through the walks. *)
+let view inbox =
+  let arr = Array.make (Inbox.size inbox) [] in
+  Inbox.iteri inbox ~f:(fun s msgs -> arr.(s) <- msgs);
+  arr
+
+let votes_view n votes =
+  let arr = Array.make n None in
+  Inbox.votes_iteri votes ~f:(fun s v -> arr.(s) <- Some v);
+  arr
+
 let test_get () =
   both "get" (fun name inbox ->
       Array.iteri
@@ -32,25 +43,35 @@ let test_get () =
             (List.filter_map parse (Inbox.get inbox s)))
         slots)
 
-let test_to_array () =
-  both "to_array" (fun name inbox ->
+let test_iteri_rebuilds () =
+  both "iteri view" (fun name inbox ->
+      let got = view inbox in
+      Alcotest.(check (array int)) (name ^ " lengths") (Array.map List.length slots)
+        (Array.map List.length got);
       Alcotest.(check (array (list int)))
         name
         (Array.map (List.filter_map parse) slots)
-        (Array.map (List.filter_map parse) (Inbox.to_array inbox)))
+        (Array.map (List.filter_map parse) got))
 
-let test_iteri () =
+let test_iteri_keeps_every_message () =
+  both "iteri messages" (fun name inbox ->
+      Alcotest.(check (array (list int)))
+        name
+        [| [ 1 ]; [ 7; 8 ]; [ 1 ]; []; [ 3 ]; [] |]
+        (Array.map (List.filter_map parse) (view inbox)))
+
+let test_iteri_skips_silent () =
   both "iteri" (fun name inbox ->
       let seen = ref [] in
       Inbox.iteri inbox ~f:(fun s msgs -> seen := (s, List.length msgs) :: !seen);
       Alcotest.(check (list (pair int int)))
         name
-        [ (0, 1); (1, 2); (2, 1); (3, 0); (4, 2); (5, 0) ]
+        [ (0, 1); (1, 2); (2, 1); (4, 2) ]
         (List.rev !seen))
 
 let test_first_takes_one_per_sender () =
   both "first" (fun name inbox ->
-      let got = Inbox.votes_to_array (Inbox.first inbox ~f:parse) in
+      let got = votes_view 6 (Inbox.first inbox ~f:parse) in
       Alcotest.(check (array (option int)))
         name
         [| Some 1; Some 7; Some 1; None; Some 3; None |]
@@ -59,20 +80,12 @@ let test_first_takes_one_per_sender () =
 let test_firsti () =
   both "firsti" (fun name inbox ->
       let got =
-        Inbox.votes_to_array
-          (Inbox.firsti inbox ~f:(fun s m -> if s = 1 then None else parse m))
+        votes_view 6 (Inbox.firsti inbox ~f:(fun s m -> if s = 1 then None else parse m))
       in
       Alcotest.(check (array (option int)))
         name
         [| Some 1; None; Some 1; None; Some 3; None |]
         got)
-
-let test_all_keeps_everything () =
-  both "all" (fun name inbox ->
-      Alcotest.(check (array (list int)))
-        name
-        [| [ 1 ]; [ 7; 8 ]; [ 1 ]; []; [ 3 ]; [] |]
-        (Inbox.all inbox ~f:parse))
 
 let test_count_and_plurality () =
   both "count/plurality" (fun name inbox ->
@@ -84,16 +97,21 @@ let test_count_and_plurality () =
         (Some (1, 2))
         (Inbox.plurality votes ~compare:Int.compare))
 
-let test_senders_and_restrict () =
-  both "senders/restrict" (fun name inbox ->
+let senders votes =
+  let acc = ref [] in
+  Inbox.votes_iteri votes ~f:(fun s _ -> acc := s :: !acc);
+  List.rev !acc
+
+let test_votes_iteri_and_restrict () =
+  both "votes_iteri/restrict" (fun name inbox ->
       let votes = Inbox.first inbox ~f:parse in
-      Alcotest.(check (list int)) (name ^ " senders") [ 0; 1; 2; 4 ] (Inbox.senders votes);
+      Alcotest.(check (list int)) (name ^ " senders") [ 0; 1; 2; 4 ] (senders votes);
       let kept = Inbox.restrict votes ~keep:(Bitset.of_list 6 [ 1; 2; 3 ]) in
-      Alcotest.(check (list int)) (name ^ " restricted") [ 1; 2 ] (Inbox.senders kept);
+      Alcotest.(check (list int)) (name ^ " restricted") [ 1; 2 ] (senders kept);
       Alcotest.(check (array (option int)))
         (name ^ " restricted votes")
         [| None; Some 7; Some 1; None; None; None |]
-        (Inbox.votes_to_array kept))
+        (votes_view 6 kept))
 
 let test_fold_weighted () =
   both "fold_weighted" (fun name inbox ->
@@ -114,7 +132,7 @@ let test_votes_mapi () =
       Alcotest.(check (array (option int)))
         name
         [| Some 2; None; Some 2; None; Some 6; None |]
-        (Inbox.votes_to_array doubled))
+        (votes_view 6 doubled))
 
 let test_plain_votes () =
   let votes = Inbox.votes [| Some 5; Some 3; Some 5; Some 3; Some 1 |] in
@@ -128,18 +146,18 @@ let test_plain_votes () =
     (Inbox.plurality (Inbox.votes [| None; None |]) ~compare:Int.compare);
   Alcotest.(check (list int))
     "sender ids" [ 0; 2; 4 ]
-    (Inbox.senders (Inbox.votes [| Some 'x'; None; Some 'y'; None; Some 'z' |]))
+    (senders (Inbox.votes [| Some 'x'; None; Some 'y'; None; Some 'z' |]))
 
 let suite =
   [
     Alcotest.test_case "get on both representations" `Quick test_get;
-    Alcotest.test_case "to_array" `Quick test_to_array;
-    Alcotest.test_case "iteri visits every slot" `Quick test_iteri;
+    Alcotest.test_case "iteri rebuilds every slot" `Quick test_iteri_rebuilds;
+    Alcotest.test_case "iteri keeps every message" `Quick test_iteri_keeps_every_message;
+    Alcotest.test_case "iteri skips silent senders" `Quick test_iteri_skips_silent;
     Alcotest.test_case "first takes one per sender" `Quick test_first_takes_one_per_sender;
     Alcotest.test_case "firsti is sender-aware" `Quick test_firsti;
-    Alcotest.test_case "all keeps everything" `Quick test_all_keeps_everything;
     Alcotest.test_case "count and plurality" `Quick test_count_and_plurality;
-    Alcotest.test_case "senders and restrict" `Quick test_senders_and_restrict;
+    Alcotest.test_case "votes_iteri and restrict" `Quick test_votes_iteri_and_restrict;
     Alcotest.test_case "fold_weighted" `Quick test_fold_weighted;
     Alcotest.test_case "votes_mapi" `Quick test_votes_mapi;
     Alcotest.test_case "plain vote arrays" `Quick test_plain_votes;

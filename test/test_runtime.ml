@@ -13,7 +13,7 @@ let test_broadcast_delivery () =
   let outcome =
     run ~n:4 ~faulty:[||] (fun ctx ->
         let inbox = R.broadcast ctx (Printf.sprintf "from-%d" (R.id ctx)) in
-        Array.to_list (Array.map List.length (Inbox.to_array inbox)))
+        List.init (R.n ctx) (fun s -> List.length (Inbox.get inbox s)))
   in
   Array.iter
     (function
@@ -204,7 +204,9 @@ let test_filter_in_only_faulty () =
   let outcome =
     run ~n:3 ~faulty:[| 1 |] ~adversary:deaf (fun ctx ->
         let inbox = R.broadcast ctx "ping" in
-        Array.fold_left (fun acc l -> acc + List.length l) 0 (Inbox.to_array inbox))
+        let total = ref 0 in
+        Inbox.iteri inbox ~f:(fun _ msgs -> total := !total + List.length msgs);
+        !total)
   in
   (* Honest processes hear everyone (incl. the puppet, whose outbox is
      untouched); the puppet itself hears nothing. *)
@@ -241,17 +243,29 @@ let test_per_round_counts () =
   Alcotest.(check int) "total" 12 outcome.R.honest_sent
 
 let test_send_to_sparse () =
-  let outcome =
-    run ~n:4 ~faulty:[||] (fun ctx ->
-        let inbox =
-          if R.id ctx = 0 then R.send_to ctx [ (2, "direct"); (2, "second") ]
-          else R.silent_round ctx
-        in
-        List.length (Inbox.get inbox 0))
-  in
-  Alcotest.(check (option int)) "recipient got both" (Some 2) outcome.R.decisions.(2);
-  Alcotest.(check (option int)) "others got none" (Some 0) outcome.R.decisions.(1);
-  Alcotest.(check int) "two messages" 2 outcome.R.honest_sent
+  (* Process 0 sends two pairs to 2 (in send order), one to itself and
+     one to each of the ids n and -1, which name no process. *)
+  let pairs = [ (2, "direct"); (4, "past-n"); (2, "second"); (-1, "negative"); (0, "self") ] in
+  List.iter
+    (fun mode ->
+      let name = match mode with `Auto -> "auto" | `Concrete -> "concrete" in
+      let outcome =
+        R.run ~mode ~n:4 ~faulty:[||] ~adversary:Adversary.passive (fun ctx ->
+            let inbox = if R.id ctx = 0 then R.send_to ctx pairs else R.silent_round ctx in
+            Inbox.get inbox 0)
+      in
+      let got i = outcome.R.decisions.(i) in
+      Alcotest.(check (option (list string)))
+        (name ^ ": recipient got both, in send order")
+        (Some [ "direct"; "second" ])
+        (got 2);
+      Alcotest.(check (option (list string))) (name ^ ": others got none") (Some []) (got 1);
+      Alcotest.(check (option (list string))) (name ^ ": others got none") (Some []) (got 3);
+      Alcotest.(check (option (list string))) (name ^ ": self delivered") (Some [ "self" ]) (got 0);
+      Alcotest.(check int) (name ^ ": two messages") 2 outcome.R.honest_sent;
+      Alcotest.(check (array int)) (name ^ ": received") [| 0; 0; 2; 0 |]
+        outcome.R.honest_received)
+    [ `Auto; `Concrete ]
 
 let test_trace_records () =
   let trace = Trace.create () in

@@ -65,7 +65,7 @@ let test_classify_bits_cubic () =
   if s < 2.5 || s > 3.2 then Alcotest.failf "classify bit exponent %.2f outside [2.5, 3.2]" s
 
 (* Allocation ratchet for the counted unauthenticated path: a recipient's
-   post-exchange work must not allocate arrays of n words, which skip the
+   post-round work must not allocate arrays of n words, which skip the
    minor heap (anything over 256 words is allocated directly on the major
    heap) and made that path quadratic in n. One n=400 wrapper instance
    with t/2 silent faults and perfect advice allocated ~4.0M words (about
@@ -90,6 +90,58 @@ let test_counted_unauth_direct_major_words () =
     Alcotest.failf "n=%d: %.0f words allocated directly on the major heap (bound %d)" n direct
       (100 * n)
 
+(* Allocation ratchet for the per-sender readers: on a counted inbox a
+   walk costs one step per sender that delivered, never an n-slot view.
+   At n=4000 with 40 senders delivering (a group of 30 plus 10 direct
+   entries, interleaved), 100 calls of iteri, firsti or votes_mapi
+   allocated 0.39M to 0.78M words directly on the major heap while each
+   call built one or two n-slot arrays; walking only the senders that
+   delivered allocates nothing there (a result of 40 entries stays on
+   the minor heap). The bound, n words per 100 calls, is a hundredth of
+   one n-slot array per call. The runtime moves promoted words into its
+   major-word counter late, at a later major slice, so one window of
+   calls can carry a minor heap's promotions from before it: each reader
+   is read as the least of five windows, which an n-slot array per call
+   would fill in every one. Read through Memprobe, as lint D002 asks. *)
+let test_sparse_readers_direct_major_words () =
+  let module Inbox = Bap_sim.Inbox in
+  let module Bitset = Bap_sim.Bitset in
+  let n = 4000 in
+  let inbox =
+    Inbox.counted ~n
+      ~groups:[| ([ 1; 2 ], Bitset.of_list n (List.init 30 (fun i -> (100 * i) + 1))) |]
+      ~direct:(Array.init 10 (fun j -> ((400 * j) + 50, [ j ])))
+  in
+  let votes = Inbox.first inbox ~f:Option.some in
+  let heard v =
+    let c = ref 0 in
+    Inbox.votes_iteri v ~f:(fun _ _ -> incr c);
+    !c
+  in
+  (* Each reader, followed by a count of the senders it reached. *)
+  let check name read =
+    Alcotest.(check int) (name ^ " reaches every sender that delivered") 40 (read ());
+    let window () =
+      let before = Memprobe.snapshot () in
+      for _ = 1 to 100 do
+        ignore (read ())
+      done;
+      let d = Memprobe.delta ~before ~after:(Memprobe.snapshot ()) in
+      d.major_words -. d.promoted_words
+    in
+    let direct = List.fold_left (fun acc _ -> Float.min acc (window ())) (window ()) [ 1; 2; 3; 4 ] in
+    if direct >= float_of_int n then
+      Alcotest.failf "%s: %.0f words allocated directly on the major heap by 100 calls (bound %d)"
+        name direct n
+  in
+  check "iteri" (fun () ->
+      let c = ref 0 in
+      Inbox.iteri inbox ~f:(fun _ _ -> incr c);
+      !c);
+  check "firsti" (fun () -> heard (Inbox.firsti inbox ~f:(fun _ m -> Some m)));
+  check "votes_iteri" (fun () -> heard votes);
+  check "votes_mapi" (fun () -> heard (Inbox.votes_mapi votes ~f:(fun _ v -> v)))
+
 let suite =
   [
     Alcotest.test_case "linear fit" `Quick test_linear_fit;
@@ -100,4 +152,6 @@ let suite =
     Alcotest.test_case "classify bits scale as ~n^3" `Quick test_classify_bits_cubic;
     Alcotest.test_case "counted unauth allocates no n-word arrays per recipient" `Quick
       test_counted_unauth_direct_major_words;
+    Alcotest.test_case "inbox walks allocate no n-slot views" `Quick
+      test_sparse_readers_direct_major_words;
   ]
