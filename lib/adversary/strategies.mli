@@ -48,8 +48,9 @@ module Make (V : Bap_core.Value.S) (W : Bap_core.Wire.S with type value = V.t) :
       [V.compare] order. *)
 
   val echo_chaos : v0:V.t -> v1:V.t -> t
-  (** Scan the instance tags honest processes use this round and inject
-      conflicting recipient-split values under the same tags. *)
+  (** Scan the instance tags honest processes use this round and send
+      conflicting recipient-split values under the same tags instead of
+      the puppets' own messages. *)
 
   val staggered_crash : interval:int -> t
   (** Crash failures one per [interval] rounds: the classic worst case
@@ -61,10 +62,6 @@ module Make (V : Bap_core.Value.S) (W : Bap_core.Wire.S with type value = V.t) :
   val vote_withholder : t
   (** Follow the protocol but withhold committee votes (Algorithm 7's
       election round). *)
-
-  val chain_dropper : t
-  (** Certified committee members that never relay chain extensions:
-      exercises the redundancy of the Dolev-Strong relay argument. *)
 
   val partition : targets:int list -> t
   (** One-way partition: say nothing to the target set, behave normally

@@ -21,63 +21,54 @@ module Make (V : Bap_core.Value.S) (W : Bap_core.Wire.S with type value = V.t) =
     {
       Adversary.name = Printf.sprintf "crash(%d@%d)" proc round;
       make =
-        (fun ~n:_ ~faulty:_ ->
-          let filter view ~src outbox dst =
-            if src = proc && view.Adversary.round >= round then [] else outbox dst
-          in
-          Adversary.handlers ~filter ());
+        (fun ~n:_ ~faulty:_ view ~src outbox ->
+          if src = proc && view.Adversary.round >= round then Adversary.mute else outbox);
     }
 
   let omit_to ~proc ~dst:victim ~first ~last : W.t Adversary.t =
     {
       Adversary.name = Printf.sprintf "omit(%d->%d@%d-%d)" proc victim first last;
       make =
-        (fun ~n:_ ~faulty:_ ->
-          let filter view ~src outbox dst =
-            let r = view.Adversary.round in
-            if src = proc && dst = victim && first <= r && r <= last then []
-            else outbox dst
-          in
-          Adversary.handlers ~filter ());
+        (fun ~n ~faulty:_ view ~src outbox ->
+          let r = view.Adversary.round in
+          if src = proc && first <= r && r <= last then
+            Adversary.per_recipient ~n (fun ~dst m -> if dst = victim then [] else [ m ]) outbox
+          else outbox);
     }
 
   let equivocate ~mutant ~proc ~first ~last ~salt : W.t Adversary.t =
+    let bend = function
+      | W.Gc_init (tg, v) -> W.Gc_init (tg, mutant salt v)
+      | W.Gc_echo (tg, v) -> W.Gc_echo (tg, mutant salt v)
+      | W.King (tg, v) -> W.King (tg, mutant salt v)
+      | W.Conc (tg, v, l) -> W.Conc (tg, mutant salt v, l)
+      | m -> m
+    in
     {
       Adversary.name = Printf.sprintf "equivocate(%d@%d-%d)" proc first last;
       make =
-        (fun ~n:_ ~faulty:_ ->
-          let filter view ~src outbox dst =
-            let r = view.Adversary.round in
-            if src = proc && first <= r && r <= last && dst mod 2 = 1 then
-              List.map
-                (function
-                  | W.Gc_init (tg, v) -> W.Gc_init (tg, mutant salt v)
-                  | W.Gc_echo (tg, v) -> W.Gc_echo (tg, mutant salt v)
-                  | W.King (tg, v) -> W.King (tg, mutant salt v)
-                  | W.Conc (tg, v, l) -> W.Conc (tg, mutant salt v, l)
-                  | m -> m)
-                (outbox dst)
-            else outbox dst
-          in
-          Adversary.handlers ~filter ());
+        (fun ~n ~faulty:_ view ~src outbox ->
+          let r = view.Adversary.round in
+          if src = proc && first <= r && r <= last then
+            Adversary.per_recipient ~n
+              (fun ~dst m -> [ (if dst mod 2 = 1 then bend m else m) ])
+              outbox
+          else outbox);
     }
 
   let advice_flip ~proc ~bit : W.t Adversary.t =
     {
       Adversary.name = Printf.sprintf "advice-flip(%d:%d)" proc bit;
       make =
-        (fun ~n:_ ~faulty:_ ->
-          let filter _view ~src outbox dst =
-            if src = proc then
-              List.map
-                (function
-                  | W.Advice a when Advice.length a > 0 ->
-                    W.Advice (Advice.flip a (bit mod Advice.length a))
-                  | m -> m)
-                (outbox dst)
-            else outbox dst
-          in
-          Adversary.handlers ~filter ());
+        (fun ~n:_ ~faulty:_ _view ~src outbox ->
+          if src = proc then
+            Adversary.concat_map
+              (function
+                | W.Advice a when Advice.length a > 0 ->
+                  [ W.Advice (Advice.flip a (bit mod Advice.length a)) ]
+                | m -> [ m ])
+              outbox
+          else outbox);
     }
 
   (* [mutant salt v] must differ from [v] for the equivocation to bite;

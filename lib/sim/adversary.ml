@@ -1,4 +1,4 @@
-type 'msg send = { src : int; dst : int; payload : 'msg }
+type 'msg outbox = Broadcast of 'msg list | Pairs of (int * 'msg) list
 
 type 'msg view = {
   round : int;
@@ -7,60 +7,48 @@ type 'msg view = {
   honest_out : sender:int -> recipient:int -> 'msg list;
 }
 
-type 'msg handlers = {
-  filter : 'msg view -> src:int -> (int -> 'msg list) -> int -> 'msg list;
-  inject : 'msg view -> 'msg send list;
-  filter_in : 'msg view -> dst:int -> src:int -> 'msg list -> 'msg list;
+type 'msg t = {
+  name : string;
+  make : n:int -> faulty:int array -> 'msg view -> src:int -> 'msg outbox -> 'msg outbox;
 }
 
-type 'msg t = { name : string; make : n:int -> faulty:int array -> 'msg handlers }
+let mute = Broadcast []
 
-let identity_filter _view ~src:_ outbox recipient = outbox recipient
-let mute_filter _view ~src:_ _outbox _recipient = []
-let no_inject _view = []
-let identity_in _view ~dst:_ ~src:_ msgs = msgs
+let map_pairs f pairs =
+  Pairs (List.concat_map (fun (dst, m) -> List.map (fun m' -> (dst, m')) (f ~dst m)) pairs)
 
-let handlers ?(filter = identity_filter) ?(inject = no_inject) ?(filter_in = identity_in) ()
-    =
-  { filter; inject; filter_in }
+let concat_map f = function
+  | Broadcast msgs -> Broadcast (List.concat_map f msgs)
+  | Pairs pairs -> map_pairs (fun ~dst:_ -> f) pairs
 
-let passive =
-  { name = "passive"; make = (fun ~n:_ ~faulty:_ -> handlers ()) }
+let per_recipient ~n f = function
+  | Broadcast msgs ->
+    map_pairs f (List.concat (List.init n (fun dst -> List.map (fun m -> (dst, m)) msgs)))
+  | Pairs pairs -> map_pairs f pairs
 
-let silent =
-  { name = "silent"; make = (fun ~n:_ ~faulty:_ -> handlers ~filter:mute_filter ()) }
+let passive = { name = "passive"; make = (fun ~n:_ ~faulty:_ _view ~src:_ outbox -> outbox) }
+let silent = { name = "silent"; make = (fun ~n:_ ~faulty:_ _view ~src:_ _outbox -> mute) }
 
 let silent_after last_round =
   {
     name = Printf.sprintf "silent-after-%d" last_round;
     make =
-      (fun ~n:_ ~faulty:_ ->
-        let filter view ~src:_ outbox recipient =
-          if view.round <= last_round then outbox recipient else []
-        in
-        handlers ~filter ());
+      (fun ~n:_ ~faulty:_ view ~src:_ outbox ->
+        if view.round <= last_round then outbox else mute);
   }
 
 let drop_to targeted =
   {
     name = "drop-to";
     make =
-      (fun ~n:_ ~faulty:_ ->
-        let filter _view ~src:_ outbox recipient =
-          if targeted recipient then [] else outbox recipient
-        in
-        handlers ~filter ());
+      (fun ~n ~faulty:_ _view ~src:_ ->
+        per_recipient ~n (fun ~dst m -> if targeted dst then [] else [ m ]));
   }
 
 let rewrite name f =
   {
     name;
-    make =
-      (fun ~n:_ ~faulty:_ ->
-        let filter view ~src outbox recipient =
-          List.concat_map (fun m -> f view ~src ~dst:recipient m) (outbox recipient)
-        in
-        handlers ~filter ());
+    make = (fun ~n ~faulty:_ view ~src -> per_recipient ~n (fun ~dst m -> f view ~src ~dst m));
   }
 
 let compose = function
@@ -71,24 +59,8 @@ let compose = function
       name = String.concat "+" (List.map (fun a -> a.name) advs);
       make =
         (fun ~n ~faulty ->
-          let hs = List.map (fun a -> a.make ~n ~faulty) advs in
-          let filter view ~src outbox recipient =
-            let outbox =
-              List.fold_left
-                (fun outbox h dst -> h.filter view ~src outbox dst)
-                outbox hs
-            in
-            outbox recipient
-          in
-          let inject view = List.concat_map (fun h -> h.inject view) hs in
-          let filter_in view ~dst ~src msgs =
-            List.fold_left (fun msgs h -> h.filter_in view ~dst ~src msgs) msgs hs
-          in
-          { filter; inject; filter_in });
+          let steps = List.map (fun a -> a.make ~n ~faulty) advs in
+          fun view ->
+            let stages = List.map (fun step -> step view) steps in
+            fun ~src outbox -> List.fold_left (fun outbox stage -> stage ~src outbox) outbox stages);
     }
-
-let custom name step =
-  {
-    name;
-    make = (fun ~n ~faulty -> handlers ~filter:mute_filter ~inject:(step ~n ~faulty) ());
-  }

@@ -38,8 +38,6 @@ let get t i =
 
 let mem t i = i >= 0 && i < t.length && get t i
 
-let reset t = Array.fill t.words 0 (Array.length t.words) 0
-
 let copy t = { length = t.length; words = Array.copy t.words }
 
 let init length f =
@@ -82,12 +80,10 @@ let iter t ~f =
       end)
     t.words
 
-let fold t ~init ~f =
-  let acc = ref init in
-  iter t ~f:(fun i -> acc := f !acc i);
-  !acc
-
-let to_list t = List.rev (fold t ~init:[] ~f:(fun acc i -> i :: acc))
+let to_list t =
+  let acc = ref [] in
+  iter t ~f:(fun i -> acc := i :: !acc);
+  List.rev !acc
 
 let equal a b =
   a.length = b.length
@@ -114,8 +110,6 @@ let inter a b =
 let union_into ~into b =
   if into.length <> b.length then invalid_arg "Bitset.union_into: length mismatch";
   Array.iteri (fun i w -> into.words.(i) <- into.words.(i) lor w) b.words
-
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
 (* Word-parallel weighted count. Within one word, the weight of every id
    is held in binary across bit-planes (plane p holds bit p of each id's

@@ -27,16 +27,10 @@ val get : t -> int -> bool
 val mem : t -> int -> bool
 (** Like {!get} but total: [false] outside [0, length). *)
 
-val reset : t -> unit
-(** Clear every bit, keeping the allocation (arena reuse). *)
-
 val copy : t -> t
 val cardinal : t -> int
 
 val iter : t -> f:(int -> unit) -> unit
-(** Ascending identifier order. *)
-
-val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 (** Ascending identifier order. *)
 
 val to_list : t -> int list
@@ -50,7 +44,6 @@ val hash : t -> int
 
 val inter : t -> t -> t
 val union_into : into:t -> t -> unit
-val is_empty : t -> bool
 
 val at_least : length:int -> threshold:int -> (t * int) list -> t
 (** [at_least ~length ~threshold weighted] holds the ids whose weight,

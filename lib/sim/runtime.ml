@@ -66,18 +66,16 @@ module Make (M : MSG) : S with type msg = M.t = struct
   let n c = c.ctx_n
   let round c = c.ctx_round
 
-  (* The two outbox shapes a fiber can yield. [Obroadcast] is the
-     counted engine's native form: recipient-independent, so identical
-     honest broadcasts aggregate into one (payload, sender-set) group.
-     [Opairs] is unicast, laid out as one per-recipient row on either
-     path. *)
-  type outbox = Obroadcast of msg list | Opairs of (int * msg) list
+  (* A fiber yields its round's outbox in one of the adversary's two
+     shapes ({!Adversary.outbox}). A broadcast is the counted engine's
+     native form: recipient-independent, so identical honest broadcasts
+     aggregate into one (payload, sender-set) group. Unicast pairs are
+     laid out as one per-recipient row on either path. *)
+  type _ Effect.t += Exchange : msg Adversary.outbox -> msg Inbox.t Effect.t
 
-  type _ Effect.t += Exchange : outbox -> msg Inbox.t Effect.t
-
-  let broadcast_list _ctx msgs = Effect.perform (Exchange (Obroadcast msgs))
+  let broadcast_list _ctx msgs = Effect.perform (Exchange (Adversary.Broadcast msgs))
   let broadcast ctx m = broadcast_list ctx [ m ]
-  let send_to _ctx pairs = Effect.perform (Exchange (Opairs pairs))
+  let send_to _ctx pairs = Effect.perform (Exchange (Adversary.Pairs pairs))
 
   let silent_round ctx = broadcast_list ctx []
 
@@ -106,7 +104,7 @@ module Make (M : MSG) : S with type msg = M.t = struct
      round's inbox. *)
   type 'r status =
     | Finished of 'r
-    | Yielded of outbox * (msg Inbox.t, 'r status) Effect.Deep.continuation
+    | Yielded of msg Adversary.outbox * (msg Inbox.t, 'r status) Effect.Deep.continuation
 
   let spawn (body : unit -> 'r) : 'r status =
     Effect.Deep.match_with body ()
@@ -214,7 +212,7 @@ module Make (M : MSG) : S with type msg = M.t = struct
         if i < 0 || i >= n then invalid_arg "Runtime.run: faulty id out of range";
         is_faulty.(i) <- true)
       faulty;
-    let handlers = adversary.Adversary.make ~n ~faulty in
+    let step = adversary.Adversary.make ~n ~faulty in
     let ctxs = Array.init n (fun i -> { ctx_id = i; ctx_n = n; ctx_round = 0 }) in
     let decisions = Array.make n None in
     let decision_round = Array.make n (-1) in
@@ -238,25 +236,21 @@ module Make (M : MSG) : S with type msg = M.t = struct
       | `Concrete -> false
       | `Auto -> Option.is_none trace && Option.is_none network
     in
-    let validate_send { Adversary.src; dst; _ } =
-      (* Reject bad injections loudly: silently accepting a send from an
-         honest id would let a buggy adversary forge honest behaviour
-         and corrupt every message-complexity metric. *)
-      if src < 0 || src >= n then
-        invalid_arg
-          (Printf.sprintf
-             "Runtime.run: adversary injected from out-of-range source %d (round %d)"
-             src !round);
-      if not is_faulty.(src) then
-        invalid_arg
-          (Printf.sprintf
-             "Runtime.run: adversary injected from non-faulty source %d (round %d)"
-             src !round);
-      if dst < 0 || dst >= n then
-        invalid_arg
-          (Printf.sprintf
-             "Runtime.run: adversary injected to out-of-range destination %d (round %d)"
-             dst !round)
+    (* The adversary fills only faulty processes' own outboxes, so its
+       traffic needs one check: a faulty pair naming no process is an
+       adversary bug, reported loudly rather than dropped. *)
+    let check_pairs pairs =
+      List.iter
+        (fun (dst, _) ->
+          if dst < 0 || dst >= n then
+            invalid_arg
+              (Printf.sprintf
+                 "Runtime.run: adversary sent to out-of-range destination %d (round %d)" dst
+                 !round))
+        pairs
+    in
+    let faulty_ids =
+      Array.of_list (List.filter (fun i -> is_faulty.(i)) (List.init n Fun.id))
     in
     (* The sim.run span covers the spawn too: the first segment of every
        protocol (up to its first round) runs inside [spawn], and any
@@ -283,62 +277,42 @@ module Make (M : MSG) : S with type msg = M.t = struct
         status;
       !any
     in
+    (* One adversary step per round, on either engine: the view stage
+       once, then every faulty process in ascending order with its
+       puppet's outbox; [emit src outbox] takes what [src] sends. *)
+    let adversary_round honest_out emit =
+      let per_src = step { Adversary.round = !round; n; faulty; honest_out } in
+      Array.iter
+        (fun src ->
+          let puppet =
+            match status.(src) with Yielded (ob, _) -> ob | Finished _ -> Adversary.mute
+          in
+          let ob = per_src ~src puppet in
+          (match ob with Adversary.Pairs pairs -> check_pairs pairs | Broadcast _ -> ());
+          emit src ob)
+        faulty_ids
+    in
     let this_round = ref 0 in
     let bits0 = ref 0 in
     (* -- concrete (per-pair) engine: the reference semantics -- *)
     let arena = if counted_ok then None else Some (Arena.create n) in
     let concrete_round (arena : msg Arena.t) =
       Arena.clear arena;
-      let out = arena.Arena.out and eff = arena.Arena.eff in
+      let eff = arena.Arena.eff in
+      let fill src = function
+        | Adversary.Broadcast msgs -> Array.fill eff.(src) 0 n msgs
+        | Adversary.Pairs pairs -> lay_out eff.(src) pairs
+      in
+      (* Honest rows first: the rushing view reads them. *)
       Array.iteri
         (fun src st ->
           match st with
-          | Yielded (Obroadcast msgs, _) -> Array.fill out.(src) 0 n msgs
-          | Yielded (Opairs pairs, _) -> lay_out out.(src) pairs
-          | Finished _ -> ())
+          | Yielded (ob, _) when not is_faulty.(src) -> fill src ob
+          | Yielded _ | Finished _ -> ())
         status;
-      let view =
-        {
-          Adversary.round = !round;
-          n;
-          faulty;
-          honest_out =
-            (fun ~sender ~recipient ->
-              if is_faulty.(sender) then [] else out.(sender).(recipient));
-        }
-      in
-      for src = 0 to n - 1 do
-        if is_faulty.(src) then begin
-          let puppet dst = out.(src).(dst) in
-          for dst = 0 to n - 1 do
-            eff.(src).(dst) <- handlers.Adversary.filter view ~src puppet dst
-          done
-        end
-        else Array.blit out.(src) 0 eff.(src) 0 n
-      done;
-      (match handlers.Adversary.inject view with
-      | [] -> ()
-      | sends ->
-        (* Group per (src, dst) so each slot takes one append instead of
-           one quadratic [@ [m]] per injected message; delivery order is
-           the injection order, pinned by a regression test. *)
-        let extras = Hashtbl.create 16 in
-        let touched = ref [] in
-        List.iter
-          (fun ({ Adversary.src; dst; payload } as send) ->
-            validate_send send;
-            let key = (src * n) + dst in
-            match Hashtbl.find_opt extras key with
-            | None ->
-              touched := key :: !touched;
-              Hashtbl.replace extras key [ payload ]
-            | Some acc -> Hashtbl.replace extras key (payload :: acc))
-          sends;
-        List.iter
-          (fun key ->
-            let src = key / n and dst = key mod n in
-            eff.(src).(dst) <- eff.(src).(dst) @ List.rev (Hashtbl.find extras key))
-          (List.rev !touched));
+      adversary_round
+        (fun ~sender ~recipient -> if is_faulty.(sender) then [] else eff.(sender).(recipient))
+        fill;
       (match network with
       | None -> ()
       | Some perturb ->
@@ -380,69 +354,41 @@ module Make (M : MSG) : S with type msg = M.t = struct
           match st with
           | Finished _ -> ()
           | Yielded (_, k) ->
-            let inbox =
-              if is_faulty.(i) then
-                Inbox.concrete
-                  (Array.init n (fun src ->
-                       handlers.Adversary.filter_in view ~dst:i ~src eff.(src).(i)))
-              else Inbox.concrete (Array.init n (fun src -> eff.(src).(i)))
-            in
+            let inbox = Inbox.concrete (Array.init n (fun src -> eff.(src).(i))) in
             let st' = Effect.Deep.continue k inbox in
             status.(i) <- st';
             (match st' with Finished r -> note_finish i r !round | Yielded _ -> ()))
         status
     in
     (* -- counted engine: aggregates identical honest broadcasts -- *)
-    let faulty_sorted =
-      let a = Array.copy faulty in
-      Array.sort Int.compare a;
-      a
-    in
     (* Per-round scratch, allocated once per run and wiped between
        rounds (the counted path's arena). *)
-    let kind : shape array = Array.make n RNone in
     let ekind : shape array = Array.make n RNone in
     let grouped = Array.make n false in
     let own_len = Array.make n 0 in
-    let inj_rev : (int * msg) list array = Array.make n [] in
-    let inj_slot : msg list array = Array.make n [] in
     let grouper =
       match grouping with
       | Some (Grouping { key; hash; equal }) when counted_ok ->
         Some (grouper ~n ~key ~hash ~equal)
       | Some _ | None -> None
     in
-    let base_of src dst = slot ekind.(src) dst in
-    (* A recipient's overridden (src, i) slots, each built once: its
-       base traffic, then its injections in injection order. Staging
-       walks [inj_rev] newest first, so consing leaves each source's
-       injections oldest first. Defined once per run: no closure per
-       recipient. *)
-    let rec stage_injections injected = function
-      | [] -> injected
-      | (src, payload) :: rest ->
-        let injected =
-          match inj_slot.(src) with [] -> src :: injected | _ :: _ -> injected
-        in
-        inj_slot.(src) <- payload :: inj_slot.(src);
-        stage_injections injected rest
+    (* A broadcast stays one list, unicast pairs become one row. *)
+    let shape_of = function
+      | Adversary.Broadcast [] | Adversary.Pairs [] -> RNone
+      | Adversary.Broadcast msgs -> RBroadcast msgs
+      | Adversary.Pairs pairs ->
+        let row = Array.make n [] in
+        lay_out row pairs;
+        RRow row
     in
-    let rec row_overrides i ov = function
-      | [] -> ov
+    (* Recipient [i]'s row slots, ascending by sender. *)
+    let rec row_slots i = function
+      | [] -> []
       | src :: rest -> (
         match ekind.(src) with
         | RRow r -> (
-          match (r.(i), inj_slot.(src)) with
-          | [], _ | _, _ :: _ -> row_overrides i ov rest
-          | msgs, [] -> row_overrides i ((src, msgs) :: ov) rest)
-        | RNone | RBroadcast _ -> row_overrides i ov rest)
-    in
-    let rec with_injections i ov = function
-      | [] -> ov
-      | src :: rest ->
-        let slot = base_of src i @ inj_slot.(src) in
-        inj_slot.(src) <- [];
-        with_injections i ((src, slot) :: ov) rest
+          match r.(i) with [] -> row_slots i rest | msgs -> (src, msgs) :: row_slots i rest)
+        | RNone | RBroadcast _ -> row_slots i rest)
     in
     let size_sum msgs =
       match msg_size with
@@ -450,82 +396,40 @@ module Make (M : MSG) : S with type msg = M.t = struct
       | Some size -> List.fold_left (fun acc m -> acc + size m) 0 msgs
     in
     let counted_round () =
-      Array.fill kind 0 n RNone;
       Array.fill ekind 0 n RNone;
       Array.fill grouped 0 n false;
       Array.fill own_len 0 n 0;
-      (* 1. Outboxes: a broadcast stays one list, unicast pairs become
-         one row. *)
+      (* 1. Honest senders: aggregate broadcasts into groups. A group's
+         bits are counted once, times its cardinality. *)
+      let base_honest_total = ref 0 in
+      let bits_per_recipient = ref 0 in
       Array.iteri
         (fun src st ->
           match st with
-          | Yielded (Obroadcast msgs, _) -> kind.(src) <- RBroadcast msgs
-          | Yielded (Opairs pairs, _) ->
-            let row = Array.make n [] in
-            lay_out row pairs;
-            kind.(src) <- RRow row
-          | Finished _ -> ())
+          | Yielded (ob, _) when not is_faulty.(src) -> (
+            match shape_of ob with
+            | RBroadcast msgs as k ->
+              ekind.(src) <- k;
+              let len = List.length msgs in
+              base_honest_total := !base_honest_total + len;
+              own_len.(src) <- len;
+              let joined = match grouper with Some g -> g.add src msgs | None -> false in
+              if joined then grouped.(src) <- true
+              else bits_per_recipient := !bits_per_recipient + size_sum msgs
+            | k -> ekind.(src) <- k)
+          | Yielded _ | Finished _ -> ())
         status;
-      let view =
-        {
-          Adversary.round = !round;
-          n;
-          faulty;
-          honest_out =
-            (fun ~sender ~recipient ->
-              if is_faulty.(sender) then [] else slot kind.(sender) recipient);
-        }
-      in
-      (* 2. Honest senders: aggregate broadcast shapes into groups. A
-         group's bits are counted once, times its cardinality. *)
-      let base_honest_total = ref 0 in
-      let bits_per_recipient = ref 0 in
-      for src = 0 to n - 1 do
-        if not is_faulty.(src) then
-          match kind.(src) with
-          | RNone | RBroadcast [] -> ()
-          | RBroadcast msgs as k ->
-            ekind.(src) <- k;
-            let len = List.length msgs in
-            base_honest_total := !base_honest_total + len;
-            own_len.(src) <- len;
-            let joined = match grouper with Some g -> g.add src msgs | None -> false in
-            if joined then grouped.(src) <- true
-            else bits_per_recipient := !bits_per_recipient + size_sum msgs
-          | RRow _ as k -> ekind.(src) <- k
-      done;
       let groups = match grouper with Some g -> g.flush () | None -> [] in
       List.iter
         (fun (msgs, set) ->
           bits_per_recipient := !bits_per_recipient + (size_sum msgs * Bitset.cardinal set))
         groups;
-      (* 3. Faulty senders, ascending (the concrete path's filter-call
-         order). The canonical combinators are recognised physically:
-         they are pure, so skipping their calls is unobservable. *)
-      Array.iter
-        (fun src ->
-          let pk = kind.(src) in
-          if handlers.Adversary.filter == Adversary.mute_filter then ()
-          else if handlers.Adversary.filter == Adversary.identity_filter then (
-            match pk with RNone | RBroadcast [] -> () | k -> ekind.(src) <- k)
-          else begin
-            let puppet = slot pk in
-            ekind.(src) <-
-              RRow (Array.init n (fun dst -> handlers.Adversary.filter view ~src puppet dst))
-          end)
-        faulty_sorted;
-      (* 4. Injections, validated in order with the concrete path's
-         exact errors. *)
-      let touched_dsts = ref [] in
-      let inj_adv = ref 0 in
-      List.iter
-        (fun ({ Adversary.src; dst; payload } as send) ->
-          validate_send send;
-          if dst <> src then incr inj_adv;
-          (match inj_rev.(dst) with [] -> touched_dsts := dst :: !touched_dsts | _ :: _ -> ());
-          inj_rev.(dst) <- (src, payload) :: inj_rev.(dst))
-        (handlers.Adversary.inject view);
-      (* 5. Accounting: identical totals, computed per group / sender
+      (* 2. Faulty senders, in the shapes honest ones use: a broadcast
+         stays one direct entry and keeps the shared inbox. *)
+      adversary_round
+        (fun ~sender ~recipient -> if is_faulty.(sender) then [] else slot ekind.(sender) recipient)
+        (fun src ob -> ekind.(src) <- shape_of ob);
+      (* 3. Accounting: identical totals, computed per group / sender
          instead of per pair. *)
       this_round := !this_round + (!base_honest_total * (n - 1));
       honest_bits := !honest_bits + (!bits_per_recipient * (n - 1));
@@ -553,11 +457,9 @@ module Make (M : MSG) : S with type msg = M.t = struct
               end
             done
       done;
-      adversary_sent := !adversary_sent + !inj_adv;
-      (* 6. Assemble inboxes. With no unicast rows and no injections
-         every recipient shares one immutable inbox, marked shared so
-         derivations every recipient reads the same way run once on
-         it. *)
+      (* 4. Assemble inboxes. With no unicast rows every recipient
+         shares one immutable inbox, marked shared so derivations every
+         recipient reads the same way run once on it. *)
       let groups_arr = Array.of_list groups in
       let shared_direct = ref [] and row_srcs = ref [] in
       for src = n - 1 downto 0 do
@@ -567,67 +469,37 @@ module Make (M : MSG) : S with type msg = M.t = struct
         | RRow _ -> row_srcs := src :: !row_srcs
         | RBroadcast _ | RNone -> ()
       done;
-      let shared_direct = Array.of_list !shared_direct and row_srcs = !row_srcs in
-      let have_extras =
-        (match row_srcs with [] -> false | _ :: _ -> true)
-        || match !touched_dsts with [] -> false | _ :: _ -> true
+      let shared_direct = Array.of_list !shared_direct in
+      let inbox_for =
+        match !row_srcs with
+        | [] ->
+          let shared = Inbox.shared ~n ~groups:groups_arr ~direct:shared_direct in
+          fun _ -> shared
+        | row_srcs -> (
+          fun i ->
+            match row_slots i row_srcs with
+            | [] -> Inbox.counted ~n ~groups:groups_arr ~direct:shared_direct
+            | rows ->
+              (* A row's sender is neither grouped nor a direct entry, so
+                 the two ascending lists are disjoint. *)
+              let rec merge acc ds rows =
+                match (ds, rows) with
+                | [], rest | rest, [] -> List.rev_append acc rest
+                | ((s1, _) as d) :: ds', ((s2, _) as r) :: rows' ->
+                  if s1 < s2 then merge (d :: acc) ds' rows else merge (r :: acc) ds rows'
+              in
+              let direct = Array.of_list (merge [] (Array.to_list shared_direct) rows) in
+              Inbox.counted ~n ~groups:groups_arr ~direct)
       in
-      let shared_inbox =
-        if have_extras then None
-        else Some (Inbox.shared ~n ~groups:groups_arr ~direct:shared_direct)
-      in
-      let overrides_for i =
-        let injected = stage_injections [] inj_rev.(i) in
-        with_injections i (row_overrides i [] row_srcs) injected
-      in
-      let inbox_for i =
-        match shared_inbox with
-        | Some shared -> shared
-        | None -> (
-          match overrides_for i with
-          | [] -> Inbox.counted ~n ~groups:groups_arr ~direct:shared_direct
-          | ov ->
-            let ov_sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) ov in
-            (* The overrides stay disjoint from every group: a grouped
-               sender is an honest broadcaster, and overrides come only
-               from unicast rows, non-canonical filters (faulty senders)
-               and injections (faulty senders, [validate_send]). *)
-            let rec merge acc ds ovs =
-              match (ds, ovs) with
-              | [], rest | rest, [] -> List.rev_append acc rest
-              | ((s1, _) as d) :: ds', ((s2, _) as o) :: ovs' ->
-                if s1 < s2 then merge (d :: acc) ds' ovs
-                else if s1 > s2 then merge (o :: acc) ds ovs'
-                else merge (o :: acc) ds' ovs'
-            in
-            let direct = Array.of_list (merge [] (Array.to_list shared_direct) ov_sorted) in
-            Inbox.counted ~n ~groups:groups_arr ~direct)
-      in
-      let skip_filter_in = handlers.Adversary.filter_in == Adversary.identity_in in
       Array.iteri
         (fun i st ->
           match st with
           | Finished _ -> ()
           | Yielded (_, k) ->
-            let inbox =
-              if is_faulty.(i) && not skip_filter_in then begin
-                let ov = overrides_for i in
-                let slot src =
-                  match List.assoc_opt src ov with
-                  | Some msgs -> msgs
-                  | None -> base_of src i
-                in
-                Inbox.concrete
-                  (Array.init n (fun src ->
-                       handlers.Adversary.filter_in view ~dst:i ~src (slot src)))
-              end
-              else inbox_for i
-            in
-            let st' = Effect.Deep.continue k inbox in
+            let st' = Effect.Deep.continue k (inbox_for i) in
             status.(i) <- st';
             (match st' with Finished r -> note_finish i r !round | Yielded _ -> ()))
-        status;
-      List.iter (fun dst -> inj_rev.(dst) <- []) !touched_dsts
+        status
     in
     while honest_running () do
       incr round;

@@ -3,8 +3,9 @@
     The runtime executes one protocol function per process in
     round-lock-step, exactly matching the synchronous model of the paper:
     in each round every process sends messages, the (rushing) adversary
-    fixes the faulty processes' messages after seeing the honest ones, and
-    then every process receives the round's messages and computes.
+    fixes the faulty processes' messages after seeing the honest ones, in
+    one step per round ({!Adversary.t}), and then every process receives
+    the round's messages and computes.
 
     Protocol code is written in direct style: it ends each round with
     one send — a broadcast ({!S.broadcast_list}, {!S.broadcast},
@@ -17,17 +18,17 @@
     Two delivery engines implement the same semantics:
 
     - the {e concrete} per-pair path routes every message individually
-      through a pair of arena-backed n x n matrices; it is the reference
+      through an arena-backed n x n matrix; it is the reference
       semantics and the only path when a trace or network hook observes
       individual edges;
     - the {e counted} path aggregates identical honest broadcasts into
       (payload, sender-bitset) groups and never materialises the n
-      copies, falling back to per-recipient rows only for unicast
-      ({!S.send_to}) and for faulty senders whose filter is not one of
-      the canonical {!Adversary} combinators. When a round has neither
-      those nor injections, every recipient gets one {!Inbox.shared}
-      inbox, on which a derivation every recipient reads the same way
-      runs once ({!Inbox.memo}).
+      copies. It treats faulty traffic as it treats honest traffic: a
+      broadcast is one list, and only unicast pairs ({!S.send_to}, or a
+      faulty {!Adversary.Pairs} outbox) fall back to per-recipient
+      rows. When a round has none, every recipient gets one
+      {!Inbox.shared} inbox, on which a derivation every recipient reads
+      the same way runs once ({!Inbox.memo}).
 
     The two paths are byte-identical in every observable: decisions,
     rounds, all message/bit accounting, adversary call order, and raised
@@ -80,8 +81,9 @@ module type S = sig
 
   val send_to : ctx -> (int * msg) list -> msg Inbox.t
   (** Unicast: send each [(recipient, msg)] pair. A recipient gets its
-      pairs in send order; a pair naming no process (a recipient outside
-      [0, n)) delivers nothing and is not counted. Either engine lays
+      pairs in send order; an honest pair naming no process (a recipient
+      outside [0, n)) delivers nothing and is not counted (a faulty
+      process's is an error, see {!run}). Either engine lays
       the pairs out as one per-recipient row, in O(n + pairs); use
       {!broadcast_list} when every recipient gets the same messages, so
       the counted engine can aggregate. *)
@@ -171,9 +173,9 @@ module type S = sig
       @raise Round_limit_exceeded after [max_rounds] (default 100_000)
       rounds with honest processes still running.
       @raise Invalid_argument if a faulty id is out of range, both
-      [group_key] and [grouping] are given, or the
-      adversary injects a message from a non-faulty or out-of-range
-      source, or to an out-of-range destination. *)
+      [group_key] and [grouping] are given, or a faulty process's
+      outbox, after the adversary's step, holds a pair naming no
+      process. *)
 
   val honest_decisions : 'r outcome -> (int * 'r) list
   (** Decisions of the honest processes, as [(id, value)] pairs. *)

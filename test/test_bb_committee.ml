@@ -64,20 +64,14 @@ let equivocating_sender pki ~t ~sender : Helpers.S.W.t Bap_sim.Adversary.t =
         (fun ~n:_ ~faulty:_ ->
           let key = Pki.key pki sender in
           let cert = make_cert pki ~t ~member:sender in
-          let inject view =
-            if view.round = 1 then
-              List.init view.n (fun dst ->
-                  let v = if dst mod 2 = 0 then 10 else 20 in
-                  let link_sig = Pki.sign key (S.W.chain_root_payload v cert) in
-                  {
-                    src = sender;
-                    dst;
-                    payload =
-                      S.W.Bb_chain (4, sender, S.W.Chain_root { value = v; cert; link_sig });
-                  })
-            else []
-          in
-          handlers ~filter:(fun _ ~src:_ _ _ -> []) ~inject ());
+          fun view ~src _outbox ->
+            if view.round = 1 && src = sender then
+              Pairs
+                (List.init view.n (fun dst ->
+                     let v = if dst mod 2 = 0 then 10 else 20 in
+                     let link_sig = Pki.sign key (S.W.chain_root_payload v cert) in
+                     (dst, S.W.Bb_chain (4, sender, S.W.Chain_root { value = v; cert; link_sig }))))
+            else mute);
     }
 
 let test_committee_agreement_equivocating_sender () =
@@ -110,22 +104,13 @@ let test_relay_through_rounds () =
           (fun ~n:_ ~faulty:_ ->
             let key = Pki.key pki sender in
             let cert = make_cert pki ~t ~member:sender in
-            let inject view =
-              if view.round = 1 then begin
+            fun view ~src _outbox ->
+              if view.round = 1 && src = sender then begin
                 let v = 33 in
                 let link_sig = Pki.sign key (S.W.chain_root_payload v cert) in
-                [
-                  {
-                    src = sender;
-                    dst = 1;
-                    payload =
-                      S.W.Bb_chain (4, sender, S.W.Chain_root { value = v; cert; link_sig });
-                  };
-                ]
+                Pairs [ (1, S.W.Bb_chain (4, sender, S.W.Chain_root { value = v; cert; link_sig })) ]
               end
-              else []
-            in
-            handlers ~filter:(fun _ ~src:_ _ _ -> []) ~inject ());
+              else mute);
       }
   in
   let inputs = Array.make n 0 in

@@ -1,6 +1,6 @@
 (* QCheck round-trips for the flat bitset against the obvious bool-array
    model: every operation the scalable core relies on (set/get,
-   popcount, ascending iteration order, intersection, union, reset)
+   popcount, ascending iteration order, intersection, union, clear)
    must agree with the model on random contents. *)
 
 module Bitset = Bap_sim.Bitset
@@ -89,17 +89,16 @@ let prop_at_least =
       Bitset.to_list (Bitset.at_least ~length:n ~threshold weighted)
       = List.filter (fun j -> weight j >= threshold) (List.init n Fun.id))
 
-let prop_fold_ascending =
-  qcheck ~count:200 ~name:"fold and iter visit ascending" contents_gen
+let prop_iter_ascending =
+  qcheck ~count:200 ~name:"iter visits ascending" contents_gen
     (fun (n, members) ->
       let b = Bitset.of_list n members in
-      let folded = List.rev (Bitset.fold b ~init:[] ~f:(fun acc j -> j :: acc)) in
       let itered =
         let acc = ref [] in
         Bitset.iter b ~f:(fun j -> acc := j :: !acc);
         List.rev !acc
       in
-      folded = Bitset.to_list b && itered = Bitset.to_list b)
+      itered = List.sort_uniq Int.compare members && itered = Bitset.to_list b)
 
 let prop_set_clear_assign =
   qcheck ~count:200 ~name:"set/clear/assign track the model"
@@ -143,13 +142,13 @@ let prop_inter_union =
       inter_ok && union_ok)
 
 let prop_copy_independent =
-  qcheck ~count:100 ~name:"copy is independent; reset empties" contents_gen
+  qcheck ~count:100 ~name:"copy is independent; clear empties it" contents_gen
     (fun (n, members) ->
       let b = Bitset.of_list n members in
       let c = Bitset.copy b in
-      Bitset.reset c;
-      Bitset.is_empty c
-      && Bitset.cardinal c = 0
+      List.iter (Bitset.clear c) members;
+      Bitset.cardinal c = 0
+      && Bitset.to_list c = []
       && Bitset.to_list b = Bitset.to_list (Bitset.of_list n members))
 
 let test_bounds () =
@@ -188,7 +187,7 @@ let suite =
     prop_get_matches_model;
     prop_cardinal;
     prop_at_least;
-    prop_fold_ascending;
+    prop_iter_ascending;
     prop_set_clear_assign;
     prop_inter_union;
     prop_copy_independent;

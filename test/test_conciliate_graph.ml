@@ -16,10 +16,10 @@ let run_conciliation ~n ~l_sets ~inputs ~faulty_msg =
       {
         name = "scripted";
         make =
-          (fun ~n:_ ~faulty:_ ->
-            handlers
-              ~filter:(fun _view ~src:_ _outbox dst -> faulty_msg dst)
-              ());
+          (fun ~n ~faulty:_ _view ~src:_ _outbox ->
+            Pairs
+              (List.concat
+                 (List.init n (fun dst -> List.map (fun m -> (dst, m)) (faulty_msg dst)))));
       }
   in
   let outcome =

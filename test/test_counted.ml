@@ -3,7 +3,8 @@
    decisions, same rounds, and the exact same message/bit accounting —
    across all four protocol families, under both the curated adversary
    pool and randomly generated chaos schedules. Plus regression pins for
-   the concrete path's arena reuse and injection delivery order. *)
+   the concrete path's arena reuse and the delivery order of faulty
+   pairs. *)
 
 open Helpers
 module Gen = Bap_prediction.Gen
@@ -34,6 +35,8 @@ let unauth_adversaries =
     (fun _rng -> Adv.equivocate ~v0:0 ~v1:1);
     (fun _rng -> Adv.value_push ~v:1);
     (fun _rng -> Adv.advice_liar);
+    (fun _rng -> Adv.advice_liar_then_silent);
+    (fun _rng -> Adv.prediction_attacker ~v0:0 ~v1:1);
     (fun _rng -> Adv.echo_chaos ~v0:0 ~v1:1);
     (fun _rng -> Adv.staggered_crash ~interval:5);
     (fun _rng -> Adv.king_killer);
@@ -190,64 +193,49 @@ let prop_arena_no_leak =
       in
       List.for_all snd (IR.honest_decisions outcome))
 
-let inject_order_adversary =
+(* In round 1 every faulty process sends its puppet's broadcast as
+   pairs, then [extra src] more pairs. *)
+let appending ~extra =
   {
-    Bap_sim.Adversary.name = "ordered-inject";
+    Bap_sim.Adversary.name = "appending";
     make =
-      (fun ~n:_ ~faulty:_ ->
-        Bap_sim.Adversary.handlers
-          ~inject:(fun view ->
-            if view.Bap_sim.Adversary.round = 1 then
-              [
-                { Bap_sim.Adversary.src = 2; dst = 0; payload = 10 };
-                { Bap_sim.Adversary.src = 2; dst = 0; payload = 11 };
-                { Bap_sim.Adversary.src = 3; dst = 0; payload = 20 };
-                { Bap_sim.Adversary.src = 2; dst = 0; payload = 12 };
-              ]
-            else [])
-          ());
+      (fun ~n ~faulty:_ view ~src outbox ->
+        match outbox with
+        | Bap_sim.Adversary.Broadcast msgs when view.Bap_sim.Adversary.round = 1 ->
+          let own = List.concat (List.init n (fun dst -> List.map (fun m -> (dst, m)) msgs)) in
+          Bap_sim.Adversary.Pairs (own @ extra src)
+        | _ -> outbox);
   }
 
 let test_inject_order mode () =
-  (* The puppets' own broadcasts come first, then the injected messages
-     in injection order — pinned so D003-style reordering can't creep
-     in. *)
+  (* A recipient gets a faulty sender's pairs in list order, whatever
+     other recipients' pairs sit between them: the puppet's broadcast
+     first, then the extras — pinned so D003-style reordering can't
+     creep in. *)
+  let extra src = if src = 2 then [ (0, 10); (1, 30); (0, 11); (0, 12) ] else [ (0, 20) ] in
   let outcome =
-    IR.run ~mode ~n:5 ~faulty:[| 2; 3 |] ~adversary:inject_order_adversary
+    IR.run ~mode ~n:5 ~faulty:[| 2; 3 |] ~adversary:(appending ~extra)
       (fun ctx ->
         let inbox = IR.broadcast ctx (100 + IR.id ctx) in
         (Inbox.get inbox 2, Inbox.get inbox 3))
   in
-  let from2, from3 =
-    match outcome.IR.decisions.(0) with Some d -> d | None -> Alcotest.fail "no decision"
+  let got i =
+    match outcome.IR.decisions.(i) with Some d -> d | None -> Alcotest.fail "no decision"
   in
-  Alcotest.(check (list int)) "broadcast then injects, in order" [ 102; 10; 11; 12 ] from2;
+  let from2, from3 = got 0 in
+  Alcotest.(check (list int)) "broadcast then pairs, in order" [ 102; 10; 11; 12 ] from2;
   Alcotest.(check (list int)) "second faulty sender" [ 103; 20 ] from3;
-  let from2', _ =
-    match outcome.IR.decisions.(1) with Some d -> d | None -> Alcotest.fail "no decision"
-  in
-  Alcotest.(check (list int)) "bystander got only the broadcast" [ 102 ] from2'
+  Alcotest.(check (list int)) "another recipient's pair" [ 102; 30 ] (fst (got 1));
+  Alcotest.(check (list int)) "bystander got only the broadcast" [ 102 ] (fst (got 4))
 
-(* k injections from one faulty source to one recipient in one round:
-   both engines deliver the puppet's broadcast, then the injections in
-   injection order. The counted engine builds each (src, dst) slot once,
-   so its allocation is linear in k; appending each injection to the
-   slot made it quadratic (6M minor words at k = 2000). *)
+(* k pairs from one faulty source to one recipient in one round: both
+   engines deliver the puppet's broadcast, then the pairs in list
+   order. The counted engine lays each sender's pairs out once, so its
+   allocation is linear in k; appending each message to the slot made
+   it quadratic (6M minor words at k = 2000). *)
 let test_many_injections_linear () =
   let k = 2000 in
-  let adversary =
-    {
-      Bap_sim.Adversary.name = "burst";
-      make =
-        (fun ~n:_ ~faulty:_ ->
-          Bap_sim.Adversary.handlers
-            ~inject:(fun view ->
-              if view.Bap_sim.Adversary.round = 1 then
-                List.init k (fun j -> { Bap_sim.Adversary.src = 4; dst = 0; payload = 1000 + j })
-              else [])
-            ());
-    }
-  in
+  let adversary = appending ~extra:(fun _ -> List.init k (fun j -> (0, 1000 + j))) in
   let run mode =
     IR.run ~mode ~n:5 ~faulty:[| 4 |] ~adversary (fun ctx ->
         Inbox.get (IR.broadcast ctx (100 + IR.id ctx)) 4)
@@ -256,25 +244,25 @@ let test_many_injections_linear () =
   let received (o : _ IR.outcome) =
     match o.IR.decisions.(0) with Some d -> d | None -> Alcotest.fail "no decision"
   in
-  Alcotest.(check (list int)) "concrete: broadcast, then injections in order" expected
+  Alcotest.(check (list int)) "concrete: broadcast, then pairs in order" expected
     (received (run `Concrete));
   (* The calling domain's own counter: a process snapshot only moves at
      minor collections, a whole minor heap at a time. *)
   let before = Memprobe.domain_minor_words () in
   let counted = run `Auto in
   let words = Memprobe.domain_minor_words () -. before in
-  Alcotest.(check (list int)) "counted: broadcast, then injections in order" expected
+  Alcotest.(check (list int)) "counted: broadcast, then pairs in order" expected
     (received counted);
   if words >= float_of_int (100 * k) then
-    Alcotest.failf "counted engine allocated %.0f minor words for %d injections (bound %d)"
-      words k (100 * k)
+    Alcotest.failf "counted engine allocated %.0f minor words for %d pairs (bound %d)" words k
+      (100 * k)
 
-(* An adversary that injects only in odd rounds, with mute puppets:
+(* An adversary that sends only in odd rounds, muting the puppets:
    rounds alternate between the shared inbox (and its memo) and
    per-recipient inboxes. Each odd round, every faulty process replays
    the lowest honest process's traffic to every recipient with the
    value, the advice bit or the declared set bent by the recipient's
-   id. *)
+   id; the pairs are built once per round. *)
 let odd_round_injector =
   let bend dst = function
     | S.W.Gc_init (tag, v) -> S.W.Gc_init (tag, (v + dst) mod 2)
@@ -284,21 +272,26 @@ let odd_round_injector =
     | S.W.Advice a -> S.W.Advice (Advice.flip a (dst mod Advice.length a))
     | m -> m
   in
-  Adversary.custom "odd-round-injector" (fun ~n ~faulty view ->
-      if view.Adversary.round mod 2 = 0 then []
-      else begin
+  {
+    Adversary.name = "odd-round-injector";
+    make =
+      (fun ~n ~faulty ->
         let is_faulty = is_faulty_array ~n faulty in
         let rec lowest_honest i = if is_faulty.(i) then lowest_honest (i + 1) else i in
         let h = lowest_honest 0 in
-        List.concat_map
-          (fun src ->
-            List.concat
-              (List.init n (fun dst ->
-                   List.map
-                     (fun m -> { Adversary.src; dst; payload = bend dst m })
-                     (view.Adversary.honest_out ~sender:h ~recipient:dst))))
-          (Array.to_list faulty)
-      end)
+        fun view ->
+          let out =
+            if view.Adversary.round mod 2 = 0 then Adversary.mute
+            else
+              Adversary.Pairs
+                (List.concat
+                   (List.init n (fun dst ->
+                        List.map
+                          (fun m -> (dst, bend dst m))
+                          (view.Adversary.honest_out ~sender:h ~recipient:dst))))
+          in
+          fun ~src:_ _outbox -> out);
+  }
 
 let test_alternating_paths_large_n () =
   List.iter

@@ -51,26 +51,24 @@ let equivocating_dealer pki : Helpers.S.W.t Bap_sim.Adversary.t =
     {
       name = "gcast-equivocator";
       make =
-        (fun ~n:_ ~faulty ->
+        (fun ~n ~faulty ->
           let keys = Hashtbl.create 4 in
           Array.iter (fun j -> Hashtbl.replace keys j (Pki.key pki j)) faulty;
-          let filter _view ~src outbox dst =
-            List.map
-              (function
-                | W.Gcast_init (tg, sv) when sv.W.sv_dealer = src ->
-                  let v = if dst mod 2 = 0 then 500 else 600 in
-                  let key = Hashtbl.find keys src in
+          fun _view ~src ->
+            per_recipient ~n (fun ~dst -> function
+              | W.Gcast_init (tg, sv) when sv.W.sv_dealer = src ->
+                let v = if dst mod 2 = 0 then 500 else 600 in
+                let key = Hashtbl.find keys src in
+                [
                   W.Gcast_init
                     ( tg,
                       {
                         W.sv_dealer = src;
                         sv_value = v;
                         sv_sig = Pki.sign key (W.dealer_payload ~dealer:src v);
-                      } )
-                | m -> m)
-              (outbox dst)
-          in
-          handlers ~filter ());
+                      } );
+                ]
+              | m -> [ m ]));
     }
 
 let prop_level2_coherence =

@@ -42,12 +42,11 @@ let equivocating_dealer pki : Helpers.S.W.t Bap_sim.Adversary.t =
     {
       name = "equivocating-dealer";
       make =
-        (fun ~n:_ ~faulty ->
+        (fun ~n ~faulty ->
           let keys = Hashtbl.create 8 in
           Array.iter (fun j -> Hashtbl.replace keys j (Pki.key pki j)) faulty;
-          let filter _view ~src outbox dst =
-            List.map
-              (fun m ->
+          fun _view ~src ->
+            per_recipient ~n (fun ~dst m ->
                 match m with
                 | S.W.Gcast_init (tg, sv) when sv.S.W.sv_dealer = src ->
                   let v = if dst mod 2 = 0 then 100 else 200 in
@@ -59,11 +58,8 @@ let equivocating_dealer pki : Helpers.S.W.t Bap_sim.Adversary.t =
                       sv_sig = Pki.sign key (S.W.dealer_payload ~dealer:src v);
                     }
                   in
-                  S.W.Gcast_init (tg, sv')
-                | m -> m)
-              (outbox dst)
-          in
-          handlers ~filter ());
+                  [ S.W.Gcast_init (tg, sv') ]
+                | m -> [ m ]));
     }
 
 let coherent decisions =
@@ -125,14 +121,10 @@ let out_of_range_echoer ~dealer _pki : Helpers.S.W.t Bap_sim.Adversary.t =
           let rename (e : S.W.gcast_echo) =
             { e with S.W.ge_signed = { e.S.W.ge_signed with S.W.sv_dealer = dealer } }
           in
-          let filter _view ~src:_ outbox dst =
-            List.map
-              (function
-                | S.W.Gcast_echo (tg, echoes) -> S.W.Gcast_echo (tg, List.map rename echoes)
-                | m -> m)
-              (outbox dst)
-          in
-          handlers ~filter ());
+          fun _view ~src:_ ->
+            concat_map (function
+              | S.W.Gcast_echo (tg, echoes) -> [ S.W.Gcast_echo (tg, List.map rename echoes) ]
+              | m -> [ m ]));
     }
 
 let test_out_of_range_dealer () =
@@ -160,32 +152,32 @@ let repeated_echoer ~copies pki : Helpers.S.W.t Bap_sim.Adversary.t =
     {
       name = "repeated-echoer";
       make =
-        (fun ~n:_ ~faulty:_ ->
-          let filter (view : _ Adversary.view) ~src outbox dst =
-            match (src, view.round) with
-            | 0, 1 when dst <= 3 ->
-              let sv_sig = Pki.sign (Pki.key pki 0) (S.W.dealer_payload ~dealer:0 100) in
-              List.map
-                (function
+        (fun ~n ~faulty:_ (view : _ Adversary.view) ~src outbox ->
+          match (src, view.round) with
+          | 0, 1 ->
+            let sv_sig = Pki.sign (Pki.key pki 0) (S.W.dealer_payload ~dealer:0 100) in
+            per_recipient ~n
+              (fun ~dst m ->
+                if dst > 3 then []
+                else
+                  match m with
                   | S.W.Gcast_init (tg, _) ->
-                    S.W.Gcast_init (tg, { S.W.sv_dealer = 0; sv_value = 100; sv_sig })
-                  | m -> m)
-                (outbox dst)
-            | 0, _ -> []
-            | _, 2 ->
-              List.concat_map
-                (function
-                  | S.W.Gcast_echo (tg, echoes) ->
-                    let mine, others =
-                      List.partition (fun e -> e.S.W.ge_signed.S.W.sv_dealer = 0) echoes
-                    in
-                    S.W.Gcast_echo (tg, others)
-                    :: List.init copies (fun _ -> S.W.Gcast_echo (tg, mine @ mine))
+                    [ S.W.Gcast_init (tg, { S.W.sv_dealer = 0; sv_value = 100; sv_sig }) ]
                   | m -> [ m ])
-                (outbox dst)
-            | _ -> outbox dst
-          in
-          handlers ~filter ());
+              outbox
+          | 0, _ -> mute
+          | _, 2 ->
+            concat_map
+              (function
+                | S.W.Gcast_echo (tg, echoes) ->
+                  let mine, others =
+                    List.partition (fun e -> e.S.W.ge_signed.S.W.sv_dealer = 0) echoes
+                  in
+                  S.W.Gcast_echo (tg, others)
+                  :: List.init copies (fun _ -> S.W.Gcast_echo (tg, mine @ mine))
+                | m -> [ m ])
+              outbox
+          | _ -> outbox);
     }
 
 let test_repeated_echo_counts_once () =

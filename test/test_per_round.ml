@@ -14,11 +14,11 @@ let rounds = 6
 let is_honest i = i >= Array.length faulty
 
 (* One classification round, one graded consensus, then [rounds]
-   broadcast rounds whose tally is memoized under a test key that counts
-   its runs per round. *)
+   broadcast rounds whose tally, [expect] votes, is memoized under a
+   test key that counts its runs per round. *)
 let tally_key : (int, int) Inbox.key = Inbox.key ()
 
-let body ~advice ~runs ~calls ctx =
+let body ~advice ~expect ~runs ~calls ctx =
   let i = S.R.id ctx in
   let c = S.Classify_p.run ctx advice.(i) in
   let gc = S.Graded_unauth.run ctx ~t ~tag:1 1 in
@@ -34,17 +34,24 @@ let body ~advice ~runs ~calls ctx =
               | _ -> None))
             ~eq:Int.equal 1)
     in
-    if tally <> n - Array.length faulty then Alcotest.failf "round %d: tally %d" r tally
+    if tally <> expect then Alcotest.failf "round %d: tally %d" r tally
   done;
   (c, gc)
 
-let run_silent ?mode () =
+(* Two adversaries, each with the tally the honest processes see:
+   silent puppets send nothing; the advice liar's puppets broadcast a
+   lie in the advice round and follow the protocol after it, so they
+   vote too. *)
+let silent = ("silent", Adversary.silent, n - Array.length faulty)
+let liar = ("advice-liar", Adv.advice_liar, n)
+
+let run_with ?mode (_, adversary, expect) =
   let rng = Rng.create 5 in
   let advice = Gen.generate ~rng ~n ~faulty ~budget:n Gen.Uniform in
   let runs = Array.make (rounds + 1) 0 and calls = Array.make (rounds + 1) 0 in
   let o =
-    S.R.run ?mode ~grouping:S.grouping ~n ~faulty ~adversary:Adversary.silent
-      (body ~advice ~runs ~calls)
+    S.R.run ?mode ~grouping:S.grouping ~n ~faulty ~adversary
+      (body ~advice ~expect ~runs ~calls)
   in
   let results =
     List.filter_map
@@ -54,25 +61,28 @@ let run_silent ?mode () =
   (results, runs, calls)
 
 let test_shared_memo () =
-  let results, runs, calls = run_silent () in
-  Alcotest.(check int) "every honest process returned" (n - Array.length faulty)
-    (List.length results);
-  let c0, gc0 = List.hd results in
   List.iter
-    (fun (c, gc) ->
-      if not (c == c0) then Alcotest.fail "classifications are not one shared vector";
-      if not (gc == gc0) then Alcotest.fail "graded-consensus outcomes are not shared")
-    results;
-  for r = 1 to rounds do
-    Alcotest.(check int) (Printf.sprintf "round %d: every process asked" r) n calls.(r);
-    Alcotest.(check int) (Printf.sprintf "round %d: one thunk run" r) 1 runs.(r)
-  done
+    (fun ((name, _, _) as input) ->
+      let results, runs, calls = run_with input in
+      Alcotest.(check int) (name ^ ": every honest process returned") (n - Array.length faulty)
+        (List.length results);
+      let c0, gc0 = List.hd results in
+      List.iter
+        (fun (c, gc) ->
+          if not (c == c0) then Alcotest.failf "%s: classifications are not one shared vector" name;
+          if not (gc == gc0) then Alcotest.failf "%s: graded-consensus outcomes are not shared" name)
+        results;
+      for r = 1 to rounds do
+        Alcotest.(check int) (Printf.sprintf "%s, round %d: every process asked" name r) n calls.(r);
+        Alcotest.(check int) (Printf.sprintf "%s, round %d: one thunk run" name r) 1 runs.(r)
+      done)
+    [ silent; liar ]
 
 let test_concrete_shares_nothing () =
   (* The reference engine hands every recipient its own inbox: the same
      results, computed once per recipient. *)
-  let shared, _, _ = run_silent () in
-  let results, runs, _ = run_silent ~mode:`Concrete () in
+  let shared, _, _ = run_with silent in
+  let results, runs, _ = run_with ~mode:`Concrete silent in
   List.iter2
     (fun (c, gc) (c', gc') ->
       if not (Advice.equal c c' && gc = gc') then Alcotest.fail "engines disagree")

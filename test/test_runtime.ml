@@ -88,38 +88,23 @@ let test_passive_adversary_follows () =
     (fun (_, from_faulty) -> Alcotest.(check int) "puppet message arrives" 1 from_faulty)
     (R.honest_decisions outcome)
 
-let test_inject_validation () =
-  let bad =
-    Adversary.custom "bad" (fun ~n:_ ~faulty:_ _view ->
-        [ { Adversary.src = 1; dst = 0; payload = "forged" } ])
-  in
-  Alcotest.check_raises "non-faulty source rejected"
-    (Invalid_argument "Runtime.run: adversary injected from non-faulty source 1 (round 1)")
-    (fun () ->
-      ignore (run ~n:3 ~faulty:[| 2 |] ~adversary:bad (fun ctx -> R.silent_round ctx)))
-
-let test_inject_src_out_of_range () =
-  let bad =
-    Adversary.custom "bad" (fun ~n:_ ~faulty:_ _view ->
-        [ { Adversary.src = 7; dst = 0; payload = "forged" } ])
-  in
-  Alcotest.check_raises "out-of-range source rejected"
-    (Invalid_argument
-       "Runtime.run: adversary injected from out-of-range source 7 (round 1)")
-    (fun () ->
-      ignore (run ~n:3 ~faulty:[| 2 |] ~adversary:bad (fun ctx -> R.silent_round ctx)))
+(* A scripted adversary: every faulty process sends [sends view ~src]
+   in place of its puppet's outbox. *)
+let scripted name sends =
+  { Adversary.name; make = (fun ~n:_ ~faulty:_ view ~src _outbox -> sends view ~src) }
 
 let test_inject_dst_out_of_range () =
-  (* Previously dropped silently; now a loud error. *)
-  let bad =
-    Adversary.custom "bad" (fun ~n:_ ~faulty:_ _view ->
-        [ { Adversary.src = 2; dst = -1; payload = "lost" } ])
-  in
-  Alcotest.check_raises "out-of-range destination rejected"
-    (Invalid_argument
-       "Runtime.run: adversary injected to out-of-range destination -1 (round 1)")
-    (fun () ->
-      ignore (run ~n:3 ~faulty:[| 2 |] ~adversary:bad (fun ctx -> R.silent_round ctx)))
+  (* Previously dropped silently; now a loud error, on either engine. *)
+  let bad = scripted "bad" (fun _view ~src:_ -> Adversary.Pairs [ (-1, "lost") ]) in
+  List.iter
+    (fun mode ->
+      Alcotest.check_raises "out-of-range destination rejected"
+        (Invalid_argument
+           "Runtime.run: adversary sent to out-of-range destination -1 (round 1)")
+        (fun () ->
+          ignore
+            (R.run ~mode ~n:3 ~faulty:[| 2 |] ~adversary:bad (fun ctx -> R.silent_round ctx))))
+    [ `Auto; `Concrete ]
 
 let test_network_hook () =
   (* Drop edge 0 -> 1 in round 1, duplicate edge 0 -> 2; self-deliveries
@@ -142,11 +127,16 @@ let test_network_hook () =
   Alcotest.(check int) "accounting is post-hook" 6 outcome.R.honest_sent
 
 let test_compose_adversaries () =
-  (* First stage rewrites, second stage drops to one recipient: both
-     effects visible, applied left to right. *)
+  (* First stage rewrites the broadcast, keeping its order, second stage
+     drops to one recipient: both effects visible, applied left to
+     right. *)
   let upcase =
-    Adversary.rewrite "upcase" (fun _view ~src:_ ~dst:_ m ->
-        [ String.uppercase_ascii m ])
+    {
+      Adversary.name = "upcase";
+      make =
+        (fun ~n:_ ~faulty:_ _view ~src:_ ->
+          Adversary.concat_map (fun m -> [ String.uppercase_ascii m ]));
+    }
   in
   let drop_to_0 =
     Adversary.rewrite "drop0" (fun _view ~src:_ ~dst m -> if dst = 0 then [] else [ m ])
@@ -155,20 +145,18 @@ let test_compose_adversaries () =
     run ~n:3 ~faulty:[| 1 |]
       ~adversary:(Adversary.compose [ upcase; drop_to_0 ])
       (fun ctx ->
-        let inbox = R.broadcast ctx "hi" in
+        let inbox = R.broadcast_list ctx [ "hi"; "yo" ] in
         Inbox.get inbox 1)
   in
   Alcotest.(check (list string)) "dropped for p0" []
     (List.assoc 0 (R.honest_decisions outcome));
-  Alcotest.(check (list string)) "rewritten for p2" [ "HI" ]
+  Alcotest.(check (list string)) "rewritten for p2" [ "HI"; "YO" ]
     (List.assoc 2 (R.honest_decisions outcome))
 
 let test_inject_delivery () =
   let chatty =
-    Adversary.custom "chatty" (fun ~n:_ ~faulty:_ view ->
-        if view.Adversary.round = 1 then
-          [ { Adversary.src = 2; dst = 0; payload = "boo" } ]
-        else [])
+    scripted "chatty" (fun view ~src:_ ->
+        if view.Adversary.round = 1 then Adversary.Pairs [ (0, "boo") ] else Adversary.mute)
   in
   let outcome =
     run ~n:3 ~faulty:[| 2 |] ~adversary:chatty (fun ctx ->
@@ -183,46 +171,29 @@ let test_inject_delivery () =
   Alcotest.(check int) "counted as adversary msg" 1 outcome.R.adversary_sent
 
 let test_rewrite_adversary () =
-  let flip = Adversary.rewrite "flip" (fun _view ~src:_ ~dst:_ _m -> [ "flipped" ]) in
+  (* Each message is rewritten per recipient, in the puppet's order. *)
+  let split =
+    Adversary.rewrite "split" (fun _view ~src:_ ~dst m ->
+        [ Printf.sprintf "%s%d" m dst; String.uppercase_ascii m ])
+  in
   let outcome =
-    run ~n:3 ~faulty:[| 1 |] ~adversary:flip (fun ctx ->
-        let inbox = R.broadcast ctx "original" in
+    run ~n:3 ~faulty:[| 1 |] ~adversary:split (fun ctx ->
+        let inbox = R.broadcast_list ctx [ "a"; "b" ] in
         Inbox.get inbox 1)
   in
-  Alcotest.(check (list string)) "rewritten" [ "flipped" ]
-    (List.assoc 0 (R.honest_decisions outcome))
-
-let test_filter_in_only_faulty () =
-  let deaf =
-    {
-      Adversary.name = "deaf-faulty";
-      make =
-        (fun ~n:_ ~faulty:_ ->
-          Adversary.handlers ~filter_in:(fun _view ~dst:_ ~src:_ _msgs -> []) ());
-    }
-  in
-  let outcome =
-    run ~n:3 ~faulty:[| 1 |] ~adversary:deaf (fun ctx ->
-        let inbox = R.broadcast ctx "ping" in
-        let total = ref 0 in
-        Inbox.iteri inbox ~f:(fun _ msgs -> total := !total + List.length msgs);
-        !total)
-  in
-  (* Honest processes hear everyone (incl. the puppet, whose outbox is
-     untouched); the puppet itself hears nothing. *)
-  List.iter
-    (fun (_, total) -> Alcotest.(check int) "honest hear 3" 3 total)
-    (R.honest_decisions outcome);
-  Alcotest.(check (option int)) "puppet heard nothing" (Some 0) outcome.R.decisions.(1)
+  Alcotest.(check (list string)) "rewritten for p0" [ "a0"; "A"; "b0"; "B" ]
+    (List.assoc 0 (R.honest_decisions outcome));
+  Alcotest.(check (list string)) "rewritten for p2" [ "a2"; "A"; "b2"; "B" ]
+    (List.assoc 2 (R.honest_decisions outcome))
 
 let test_rushing_adversary_sees_current_round () =
   (* The adversary echoes back the exact message an honest process sends
      in the same round: only possible for a rushing adversary. *)
   let mirror =
-    Adversary.custom "mirror" (fun ~n:_ ~faulty:_ view ->
+    scripted "mirror" (fun view ~src:_ ->
         match view.Adversary.honest_out ~sender:0 ~recipient:1 with
-        | m :: _ -> [ { Adversary.src = 2; dst = 1; payload = "saw:" ^ m } ]
-        | [] -> [])
+        | m :: _ -> Adversary.Pairs [ (1, "saw:" ^ m) ]
+        | [] -> Adversary.mute)
   in
   let outcome =
     run ~n:3 ~faulty:[| 2 |] ~adversary:mirror (fun ctx ->
@@ -231,6 +202,44 @@ let test_rushing_adversary_sees_current_round () =
   in
   Alcotest.(check (list string)) "echo of same-round message" [ "saw:r1-p0" ]
     (List.assoc 1 (R.honest_decisions outcome))
+
+(* The adversary's contract: its view stage runs once per round and
+   its sender stage once per faulty process per round, on either
+   engine, whatever the puppets send (broadcasts, pairs, or nothing
+   once they return). *)
+let test_one_step_per_round () =
+  let rounds = 5 and faulty = [| 1; 3; 4 |] in
+  List.iter
+    (fun mode ->
+      let views = ref 0 and senders = ref 0 in
+      let counting =
+        {
+          Adversary.name = "counting";
+          make =
+            (fun ~n:_ ~faulty:_ _view ->
+              incr views;
+              fun ~src:_ outbox ->
+                incr senders;
+                outbox);
+        }
+      in
+      let outcome =
+        R.run ~mode ~n:6 ~faulty ~adversary:counting (fun ctx ->
+            (* Puppet 3 goes quiet after round 2, puppet 4 returns after
+               round 3. *)
+            let last = if R.id ctx = 4 then 3 else rounds in
+            for r = 1 to last do
+              if R.id ctx = 3 && r > 2 then ignore (R.silent_round ctx)
+              else if r mod 2 = 0 then ignore (R.send_to ctx [ ((R.id ctx + 1) mod 6, "p") ])
+              else ignore (R.broadcast ctx "b")
+            done)
+      in
+      let name = match mode with `Auto -> "auto" | `Concrete -> "concrete" in
+      Alcotest.(check int) (name ^ ": rounds") rounds outcome.R.rounds;
+      Alcotest.(check int) (name ^ ": one view stage per round") rounds !views;
+      Alcotest.(check int) (name ^ ": one sender stage per faulty process per round")
+        (rounds * Array.length faulty) !senders)
+    [ `Auto; `Concrete ]
 
 let test_per_round_counts () =
   let outcome =
@@ -312,18 +321,15 @@ let suite =
     Alcotest.test_case "silent adversary mutes puppets" `Quick test_silent_adversary_mutes;
     Alcotest.test_case "passive adversary follows protocol" `Quick
       test_passive_adversary_follows;
-    Alcotest.test_case "inject from honest source rejected" `Quick test_inject_validation;
-    Alcotest.test_case "inject from out-of-range source rejected" `Quick
-      test_inject_src_out_of_range;
     Alcotest.test_case "inject to out-of-range destination rejected" `Quick
       test_inject_dst_out_of_range;
     Alcotest.test_case "network hook perturbs edges" `Quick test_network_hook;
     Alcotest.test_case "compose chains adversaries" `Quick test_compose_adversaries;
     Alcotest.test_case "inject delivers to target only" `Quick test_inject_delivery;
     Alcotest.test_case "rewrite adversary transforms" `Quick test_rewrite_adversary;
-    Alcotest.test_case "filter_in affects only faulty inboxes" `Quick
-      test_filter_in_only_faulty;
     Alcotest.test_case "adversary is rushing" `Quick test_rushing_adversary_sees_current_round;
+    Alcotest.test_case "adversary steps once per round and sender" `Quick
+      test_one_step_per_round;
     Alcotest.test_case "per-round message counts" `Quick test_per_round_counts;
     Alcotest.test_case "sparse send_to" `Quick test_send_to_sparse;
     Alcotest.test_case "trace records events" `Quick test_trace_records;

@@ -1,7 +1,8 @@
 (* Scaling shapes as tests: fit the empirical exponent of each
    complexity curve and assert it sits in the band the theory predicts.
-   These are the automated versions of the E3/E4/E10 tables, plus an
-   allocation ratchet on the counted unauthenticated path. *)
+   These are the automated versions of the E3/E4/E10 tables, plus
+   allocation ratchets on the counted unauthenticated path and on the
+   adversary's side of a round. *)
 
 open Helpers
 module Gen = Bap_prediction.Gen
@@ -142,6 +143,39 @@ let test_sparse_readers_direct_major_words () =
   check "votes_iteri" (fun () -> heard votes);
   check "votes_mapi" (fun () -> heard (Inbox.votes_mapi votes ~f:(fun _ v -> v)))
 
+(* Allocation ratchet for the adversary's side of a round: the
+   strongest unauthenticated adversary must cost about what silent
+   faults cost. One n=100 wrapper instance with t=f=33 and a scattered
+   advice budget of 4n, read through the calling domain's own counter
+   (a process snapshot moves a whole minor heap at a time). While the
+   adaptive splitter recounted the round's honest votes once per
+   (faulty sender, recipient) pair, it allocated 418 times the minor
+   words per round of the same instance with silent faults; counting
+   once per round, in the adversary's view stage, it reads 1.3 times.
+   The bound is 2 times. *)
+let test_splitter_minor_words_per_round () =
+  let n = 100 in
+  let t = (n - 1) / 3 in
+  let faulty = Array.init t Fun.id in
+  let rng = Rng.create 11 in
+  let inputs = Array.init n (fun _ -> Rng.int rng 2) in
+  let advice = Gen.generate ~rng ~n ~faulty ~budget:(4 * n) Gen.Scattered in
+  let per_round adversary =
+    let before = Memprobe.domain_minor_words () in
+    let o = S.run_unauth ~t ~faulty ~inputs ~advice ~adversary () in
+    let words = Memprobe.domain_minor_words () -. before in
+    Alcotest.(check bool) "agreement" true (S.agreement o);
+    words /. float_of_int o.S.R.rounds
+  in
+  let silent = per_round Adversary.silent in
+  let splitter =
+    per_round (Adv.adaptive_splitter ~n_minus_t:(n - t) ~junk:(fun r -> -1_000_000 - r))
+  in
+  if splitter >= 2. *. silent then
+    Alcotest.failf
+      "splitter: %.0f minor words per round, %.1f times silent faults' %.0f (bound 2 times)"
+      splitter (splitter /. silent) silent
+
 let suite =
   [
     Alcotest.test_case "linear fit" `Quick test_linear_fit;
@@ -154,4 +188,6 @@ let suite =
       test_counted_unauth_direct_major_words;
     Alcotest.test_case "inbox walks allocate no n-slot views" `Quick
       test_sparse_readers_direct_major_words;
+    Alcotest.test_case "splitter allocates within 2x of silent faults per round" `Quick
+      test_splitter_minor_words_per_round;
   ]
