@@ -97,7 +97,9 @@ end = struct
         else None
       in
       (* Rounds 2 .. k+2: the n parallel broadcasts. *)
-      let bb = Bb.run_parallel ~memo ctx ~pki ~key ~t ~k ~tag:bb_tag ~cc x in
+      let bb =
+        Bb.run ~memo ctx ~pki ~key ~quorum ~k ~tag:bb_tag ~cc ~senders:(List.init n Fun.id) x
+      in
       (* Round k+3: certified members announce the plurality. *)
       let my_plurality =
         match Inbox.plurality (Inbox.votes bb) ~compare:V.compare with

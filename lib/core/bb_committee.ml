@@ -1,9 +1,9 @@
 (* Algorithm 6: Byzantine Broadcast with an Implicit Committee.
 
    A Dolev-Strong signature-chain broadcast truncated to k+1 rounds,
-   where only processes that can attach a committee certificate (t+1
-   signatures on <COMMITTEE, p_j>) may start or extend chains. If at
-   most k faulty processes hold committee certificates, a chain of
+   where only processes that can attach a committee certificate
+   ([quorum] signatures on <COMMITTEE, p_j>) may start or extend chains.
+   If at most k faulty processes hold committee certificates, a chain of
    length k+1 contains an honest committee member's signature, which
    gives the classic relay guarantee (Lemmas 21-23):
 
@@ -16,7 +16,8 @@
    The module runs any number of instances (distinct senders) in
    parallel over the same k+1 rounds: Algorithm 7 needs all n instances
    at once, and running them in lock-step is also how the paper counts
-   its rounds. *)
+   its rounds. Classic Dolev-Strong is the instance with quorum 0 and
+   k = t (every process certified by zero signatures). *)
 
 module Pki = Bap_crypto.Pki
 
@@ -27,37 +28,20 @@ module Make
   val rounds : k:int -> int
   (** Exactly [k + 1]. *)
 
-  val run_parallel :
+  val run :
     ?memo:W.memo ->
     R.ctx ->
     pki:Pki.t ->
     key:Pki.key ->
-    t:int ->
+    quorum:int ->
     k:int ->
     tag:W.tag ->
     cc:W.committee_cert option ->
+    senders:int list ->
     V.t ->
     V.t option array
-  (** Run n parallel instances, one per sender; this process's input is
-      used in the instance where it is the sender. Slot [s] of the result
-      is instance [s]'s output ([None] is the paper's bot). [memo] is
-      the execution's validation memo (see {!Wire.S.memo}); without one,
-      the call runs on a fresh memo of its own. *)
-
-  val run_single :
-    ?memo:W.memo ->
-    R.ctx ->
-    pki:Pki.t ->
-    key:Pki.key ->
-    t:int ->
-    k:int ->
-    tag:W.tag ->
-    cc:W.committee_cert option ->
-    sender:int ->
-    V.t ->
-    V.t option
-  (** A single instance with a designated [sender]; the value argument is
-      only used by the sender itself. Same round count. *)
+  (** One instance per process in [senders], over the same k+1 rounds;
+      slot [s] of the result is instance [s]'s output. *)
 end = struct
   let rounds ~k = k + 1
 
@@ -69,12 +53,11 @@ end = struct
 
   module Ps = Phase_span.Make (R)
 
-  let run_instances ?memo ctx ~pki ~key ~t ~k ~tag ~cc ~senders x =
+  let run ?memo ctx ~pki ~key ~quorum ~k ~tag ~cc ~senders x =
     Ps.run ctx "bb" @@ fun () ->
     let memo = match memo with Some m -> m | None -> W.memo pki in
     let n = R.n ctx in
     let me = R.id ctx in
-    let quorum = t + 1 in
     let states = List.map (fun s -> { sender = s; accepted = []; fresh = [] }) senders in
     let by_sender = Array.make n None in
     List.iter
@@ -162,12 +145,4 @@ end = struct
         result.(st.sender) <- (match st.accepted with [ v ] -> Some v | [] | _ :: _ :: _ -> None))
       states;
     result
-
-  let run_parallel ?memo ctx ~pki ~key ~t ~k ~tag ~cc x =
-    let n = R.n ctx in
-    run_instances ?memo ctx ~pki ~key ~t ~k ~tag ~cc ~senders:(List.init n (fun s -> s)) x
-
-  let run_single ?memo ctx ~pki ~key ~t ~k ~tag ~cc ~sender x =
-    let result = run_instances ?memo ctx ~pki ~key ~t ~k ~tag ~cc ~senders:[ sender ] x in
-    result.(sender)
 end

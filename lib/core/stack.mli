@@ -36,11 +36,10 @@ module Make (V : Value.S) : sig
       {!Wire.S.memo}); without one, every component call runs on a fresh
       memo of its own. *)
 
-  val no_vote_classify : R.ctx -> Advice.t -> Advice.t
-  (** Ablation: skip the classification vote and trust the raw advice
-      (still consuming the round so the schedule is unchanged). *)
-
   val unauth_config_no_vote : t:int -> Wrapper.config
+  (** Ablation: {!unauth_config} with the classification vote skipped
+      and the raw advice trusted (the round is still consumed, so the
+      schedule is unchanged). *)
 
   (** {1 One-call execution harnesses} *)
 

@@ -35,19 +35,14 @@ module type S = sig
         (** Two dealer signatures on different values: equivocation proof. *)
   }
 
-  (* -- Committee machinery (Algorithms 6 and 7) -- *)
+  (* -- Committee machinery (Algorithms 6 and 7, and Dolev-Strong as
+        Algorithm 6 with zero-signature certificates) -- *)
 
   type committee_cert = { cc_member : int; cc_sigs : (int * Pki.signature) list }
 
   type chain =
     | Chain_root of { value : value; cert : committee_cert; link_sig : Pki.signature }
     | Chain_link of { prev : chain; signer : int; cert : committee_cert; link_sig : Pki.signature }
-
-  (* -- Plain Dolev-Strong chains (baseline, no committee) -- *)
-
-  type ds_chain =
-    | Ds_root of { sender : int; value : value; link_sig : Pki.signature }
-    | Ds_link of { prev : ds_chain; signer : int; link_sig : Pki.signature }
 
   type t =
     | Advice of Advice.t
@@ -60,7 +55,6 @@ module type S = sig
     | Gcast_report of tag * gcast_report list
     | Committee_vote of tag * Pki.signature
     | Bb_chain of tag * int * chain  (** [int] is the broadcast instance's sender. *)
-    | Ds_chain of tag * int * ds_chain  (** Baseline Dolev-Strong broadcast instance. *)
     | Final_value of tag * value * committee_cert
 
   (* Per-execution validation memo. *)
@@ -111,18 +105,8 @@ module type S = sig
     ?memo:memo -> Pki.t -> quorum:int -> sender:int -> length:int -> chain -> bool
   (** A valid message chain of exactly [length] links started by
       [sender]: every link is correctly signed by a distinct process that
-      carries a valid committee certificate ([quorum] = t + 1). *)
-
-  val ds_root_payload : sender:int -> value -> string
-  val ds_link_payload : ds_chain -> string
-  val ds_chain_value : ds_chain -> value
-  val ds_chain_sender : ds_chain -> int
-  val ds_chain_signers : ds_chain -> int list
-  val ds_chain_length : ds_chain -> int
-
-  val valid_ds_chain : Pki.t -> sender:int -> length:int -> ds_chain -> bool
-  (** Classic Dolev-Strong validity: [length] distinct correct
-      signatures, rooted at [sender]. *)
+      carries a valid committee certificate ([quorum] = t + 1 in
+      Algorithm 7; 0 in Dolev-Strong). *)
 
   val size_bits : t -> int
   (** Estimated wire size of a message in bits, for communication-
@@ -175,10 +159,6 @@ module Make (V : Value.S) : S with type value = V.t = struct
     | Chain_root of { value : value; cert : committee_cert; link_sig : Pki.signature }
     | Chain_link of { prev : chain; signer : int; cert : committee_cert; link_sig : Pki.signature }
 
-  type ds_chain =
-    | Ds_root of { sender : int; value : value; link_sig : Pki.signature }
-    | Ds_link of { prev : ds_chain; signer : int; link_sig : Pki.signature }
-
   type t =
     | Advice of Advice.t
     | Gc_init of tag * value
@@ -190,7 +170,6 @@ module Make (V : Value.S) : S with type value = V.t = struct
     | Gcast_report of tag * gcast_report list
     | Committee_vote of tag * Pki.signature
     | Bb_chain of tag * int * chain
-    | Ds_chain of tag * int * ds_chain
     | Final_value of tag * value * committee_cert
 
   let committee_payload member = Encode.tagged "committee" (Encode.int member)
@@ -422,71 +401,6 @@ module Make (V : Value.S) : S with type value = V.t = struct
         List.length (List.sort_uniq Int.compare signers) = List.length signers)
     && valid_links (resolve ?memo pki) ~quorum chain
 
-  let ds_root_payload ~sender v =
-    Encode.tagged "ds-root" (Encode.pair (Encode.int sender) (V.encode v))
-
-  (* One Dolev-Strong node's encoding, given its prefix's. *)
-  let encode_ds_node ~prev_enc = function
-    | Ds_root { sender; value; link_sig } ->
-      Encode.tagged "ds-root"
-        (Encode.triple (Encode.int sender) (V.encode value) (Encode.str (Pki.encode link_sig)))
-    | Ds_link { prev = _; signer; link_sig } ->
-      Encode.tagged "ds-link"
-        (Encode.triple prev_enc (Encode.int signer) (Encode.str (Pki.encode link_sig)))
-
-  let rec encode_ds_chain = function
-    | Ds_root _ as node -> encode_ds_node ~prev_enc:"" node
-    | Ds_link { prev; _ } as node -> encode_ds_node ~prev_enc:(encode_ds_chain prev) node
-
-  let ds_link_payload_of prev_enc = Encode.tagged "ds-link" prev_enc
-  let ds_link_payload prev = ds_link_payload_of (encode_ds_chain prev)
-
-  let rec ds_chain_value = function
-    | Ds_root { value; _ } -> value
-    | Ds_link { prev; _ } -> ds_chain_value prev
-
-  let rec ds_chain_sender = function
-    | Ds_root { sender; _ } -> sender
-    | Ds_link { prev; _ } -> ds_chain_sender prev
-
-  let rec ds_chain_signers = function
-    | Ds_root { sender; _ } -> [ sender ]
-    | Ds_link { prev; signer; _ } -> ds_chain_signers prev @ [ signer ]
-
-  let rec ds_chain_length = function
-    | Ds_root _ -> 1
-    | Ds_link { prev; _ } -> 1 + ds_chain_length prev
-
-  (* Root first: each link is checked against its prefix's encoding, so
-     a chain of length L costs L encodings, not L^2. [check] is the
-     (lazy) encoding of a node whose links all verify. *)
-  let valid_ds_links pki chain =
-    let rec check node =
-      let prev_enc =
-        match node with
-        | Ds_root _ -> Some ""
-        | Ds_link { prev; _ } -> Option.map Lazy.force (check prev)
-      in
-      let own_ok prev_enc =
-        match node with
-        | Ds_root { sender; value; link_sig } ->
-          Pki.verify pki ~signer:sender ~payload:(ds_root_payload ~sender value) link_sig
-        | Ds_link { signer; link_sig; _ } ->
-          Pki.verify pki ~signer ~payload:(ds_link_payload_of prev_enc) link_sig
-      in
-      match prev_enc with
-      | Some prev_enc when own_ok prev_enc -> Some (lazy (encode_ds_node ~prev_enc node))
-      | Some _ | None -> None
-    in
-    Option.is_some (check chain)
-
-  let valid_ds_chain pki ~sender ~length chain =
-    ds_chain_length chain = length
-    && ds_chain_sender chain = sender
-    && (let signers = ds_chain_signers chain in
-        List.length (List.sort_uniq Int.compare signers) = List.length signers)
-    && valid_ds_links pki chain
-
   let sig_bits = 256
   let id_bits = 32
   let value_bits v = 8 * String.length (V.encode v)
@@ -503,10 +417,6 @@ module Make (V : Value.S) : S with type value = V.t = struct
       value_bits value + committee_cert_bits cert + sig_bits
     | Chain_link { prev; signer = _; cert; link_sig = _ } ->
       chain_bits prev + id_bits + committee_cert_bits cert + sig_bits
-
-  let rec ds_chain_bits = function
-    | Ds_root { sender = _; value; link_sig = _ } -> id_bits + value_bits value + sig_bits
-    | Ds_link { prev; signer = _; link_sig = _ } -> ds_chain_bits prev + id_bits + sig_bits
 
   let size_bits = function
     | Advice a -> id_bits + Advice.length a
@@ -525,7 +435,6 @@ module Make (V : Value.S) : S with type value = V.t = struct
           0 reports
     | Committee_vote (_, _) -> id_bits + sig_bits
     | Bb_chain (_, _, chain) -> (2 * id_bits) + chain_bits chain
-    | Ds_chain (_, _, chain) -> (2 * id_bits) + ds_chain_bits chain
     | Final_value (_, v, cert) -> id_bits + value_bits v + committee_cert_bits cert
 
   (* -- plain-message codec -- *)
@@ -543,7 +452,7 @@ module Make (V : Value.S) : S with type value = V.t = struct
         (Encode.str "C" ^ Encode.int tag ^ Encode.str (V.encode v)
         ^ String.concat "" (List.map Encode.int l))
     | Gcast_init _ | Gcast_echo _ | Gcast_report _ | Committee_vote _ | Bb_chain _
-    | Ds_chain _ | Final_value _ ->
+    | Final_value _ ->
       None
 
   (* Netstring reader matching {!Encode}'s <len>:<bytes> fields. *)
@@ -614,7 +523,7 @@ module Make (V : Value.S) : S with type value = V.t = struct
     match m with
     | Advice _ | Gc_init _ | Gc_echo _ | Conc _ | King _ -> Some m
     | Gcast_init _ | Gcast_echo _ | Gcast_report _ | Committee_vote _ | Bb_chain _
-    | Ds_chain _ | Final_value _ ->
+    | Final_value _ ->
       None
 
   let equal a b =
@@ -637,8 +546,7 @@ module Make (V : Value.S) : S with type value = V.t = struct
       | King (tag, _) -> (31 * tag) + 3
       | Conc (tag, _, l) -> List.fold_left (fun h id -> (31 * h) + id) ((31 * tag) + 4) l
       | Gcast_init (tag, _) | Gcast_echo (tag, _) | Gcast_report (tag, _)
-      | Committee_vote (tag, _) | Bb_chain (tag, _, _) | Ds_chain (tag, _, _)
-      | Final_value (tag, _, _) ->
+      | Committee_vote (tag, _) | Bb_chain (tag, _, _) | Final_value (tag, _, _) ->
         (31 * tag) + 5
     in
     h land max_int
@@ -656,8 +564,5 @@ module Make (V : Value.S) : S with type value = V.t = struct
     | Committee_vote (tag, _) -> Fmt.pf ppf "Committee_vote(#%d)" tag
     | Bb_chain (tag, s, c) ->
       Fmt.pf ppf "Bb_chain(#%d, sender %d, len %d, %a)" tag s (chain_length c) V.pp (chain_value c)
-    | Ds_chain (tag, s, c) ->
-      Fmt.pf ppf "Ds_chain(#%d, sender %d, len %d, %a)" tag s (ds_chain_length c) V.pp
-        (ds_chain_value c)
     | Final_value (tag, v, _) -> Fmt.pf ppf "Final_value(#%d, %a)" tag V.pp v
 end

@@ -5,7 +5,11 @@
     disambiguate concurrent or successive sub-protocol instances;
     honest processes run in lock-step so tags are computed identically
     everywhere, and each protocol step only parses messages carrying
-    its own tag. *)
+    its own tag.
+
+    There is one signature-chain family, {!S.chain}: Algorithm 6's
+    committee chains, which with zero-signature certificates are also
+    the Dolev-Strong baseline's chains. *)
 
 module Pki = Bap_crypto.Pki
 module Advice = Bap_prediction.Advice
@@ -34,19 +38,14 @@ module type S = sig
         (** Two dealer signatures on different values: equivocation proof. *)
   }
 
-  (** {1 Committee machinery} (Algorithms 6 and 7) *)
+  (** {1 Committee machinery} (Algorithms 6 and 7, and Dolev-Strong as
+      Algorithm 6 with zero-signature certificates) *)
 
   type committee_cert = { cc_member : int; cc_sigs : (int * Pki.signature) list }
 
   type chain =
     | Chain_root of { value : value; cert : committee_cert; link_sig : Pki.signature }
     | Chain_link of { prev : chain; signer : int; cert : committee_cert; link_sig : Pki.signature }
-
-  (** {1 Plain Dolev-Strong chains} (baseline, no committee) *)
-
-  type ds_chain =
-    | Ds_root of { sender : int; value : value; link_sig : Pki.signature }
-    | Ds_link of { prev : ds_chain; signer : int; link_sig : Pki.signature }
 
   type t =
     | Advice of Advice.t
@@ -59,7 +58,6 @@ module type S = sig
     | Gcast_report of tag * gcast_report list
     | Committee_vote of tag * Pki.signature
     | Bb_chain of tag * int * chain  (** [int] is the broadcast instance's sender. *)
-    | Ds_chain of tag * int * ds_chain  (** Baseline Dolev-Strong broadcast instance. *)
     | Final_value of tag * value * committee_cert
 
   (** {1 Per-execution validation memo} *)
@@ -118,18 +116,8 @@ module type S = sig
     ?memo:memo -> Pki.t -> quorum:int -> sender:int -> length:int -> chain -> bool
   (** A valid message chain of exactly [length] links started by
       [sender]: every link is correctly signed by a distinct process that
-      carries a valid committee certificate ([quorum] = t + 1). *)
-
-  val ds_root_payload : sender:int -> value -> string
-  val ds_link_payload : ds_chain -> string
-  val ds_chain_value : ds_chain -> value
-  val ds_chain_sender : ds_chain -> int
-  val ds_chain_signers : ds_chain -> int list
-  val ds_chain_length : ds_chain -> int
-
-  val valid_ds_chain : Pki.t -> sender:int -> length:int -> ds_chain -> bool
-  (** Classic Dolev-Strong validity: [length] distinct correct
-      signatures, rooted at [sender]. *)
+      carries a valid committee certificate ([quorum] = t + 1 in
+      Algorithm 7; 0 in Dolev-Strong, where every certificate is empty). *)
 
   val size_bits : t -> int
   (** Estimated wire size of a message in bits, for communication-

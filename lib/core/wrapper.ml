@@ -54,6 +54,8 @@ struct
       go 0 1
     end
 
+  (* Phase phi (1-based) assumes k = 2^(phi - 1) errors, and budgets
+     min (k + 1) (t + 1) phase-king phases for its early-stopping BA. *)
   let k_of_phase phi = 1 lsl (phi - 1)
   let es_phases ~t ~k = min (k + 1) (t + 1)
 

@@ -43,13 +43,6 @@ module Make
   val phases_total : t:int -> int
   (** [ceil(log2 t) + 1] (and 1 for t <= 1). *)
 
-  val k_of_phase : int -> int
-  (** [2^(phi - 1)] for the 1-based phase number [phi]. *)
-
-  val es_phases : t:int -> k:int -> int
-  (** Phase-king phases budgeted for the early-stopping BA in a wrapper
-      phase assuming k errors: [min (k + 1) (t + 1)]. *)
-
   val schedule : ?value_prediction:bool -> config -> t:int -> (string * int * int * int) list
   (** Deterministic round layout: [(component, phase, first, last)] with
       1-based inclusive round numbers. Used by the experiment harness to

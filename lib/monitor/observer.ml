@@ -57,9 +57,7 @@ module Make (V : Bap_core.Value.S) (W : Bap_core.Wire.S with type value = V.t) =
        fingerprint. Chains are re-broadcast by relays and a process may
        broadcast two chains per instance legally, so they are analysed
        separately below. *)
-    | W.Gcast_echo _ | W.Gcast_report _ | W.Committee_vote _ | W.Bb_chain _
-    | W.Ds_chain _ ->
-      None
+    | W.Gcast_echo _ | W.Gcast_report _ | W.Committee_vote _ | W.Bb_chain _ -> None
 
   (* Chain-root equivocation: two roots for the same broadcast instance
      with different values, signed by the same sender. *)
@@ -67,8 +65,6 @@ module Make (V : Bap_core.Value.S) (W : Bap_core.Wire.S with type value = V.t) =
     match msg with
     | W.Bb_chain (tag, instance, W.Chain_root { value; _ }) ->
       Some ((tag, instance), V.encode value)
-    | W.Ds_chain (tag, instance, W.Ds_root { value; _ }) ->
-      Some ((tag + 1_000_000, instance), V.encode value)
     | _ -> None
 
   let observe ~n trace =

@@ -59,16 +59,24 @@ let delta ~before ~after =
 (* The switch itself lives next to [Telemetry.span], its only reader. *)
 let baseline : snapshot option Atomic.t = Atomic.make None
 
+(* [Gc.quick_stat]'s [minor_words] counts a domain's words only once a
+   minor collection has published them, a whole minor heap at a time.
+   Both ends of [process_delta] collect first ([Gc.minor] empties every
+   domain's minor heap), so the delta is exact to the word. *)
+let exact_snapshot () =
+  Gc.minor ();
+  snapshot ()
+
 let enable () =
-  Atomic.set baseline (Some (snapshot ()));
+  Atomic.set baseline (Some (exact_snapshot ()));
   Telemetry.set_alloc_probe true
 
 let disable () = Telemetry.set_alloc_probe false
 
 let process_delta () =
   match Atomic.get baseline with
-  | Some before -> delta ~before ~after:(snapshot ())
-  | None -> snapshot ()
+  | Some before -> delta ~before ~after:(exact_snapshot ())
+  | None -> exact_snapshot ()
 
 let domain_minor_words () = Gc.minor_words ()
 

@@ -38,7 +38,9 @@ val delta : before:snapshot -> after:snapshot -> snapshot
 
 val enable : unit -> unit
 (** Turn the probe on and record the process baseline for
-    {!process_delta}. Idempotent (re-enabling resets the baseline). The
+    {!process_delta}, after a minor collection ([Gc.minor], which empties
+    every domain's minor heap) so that the baseline counts every word
+    allocated so far. Idempotent (re-enabling resets the baseline). The
     probe records through the installed telemetry sink; with none
     installed, spans record nothing. *)
 
@@ -47,7 +49,9 @@ val disable : unit -> unit
 
 val process_delta : unit -> snapshot
 (** Process-global GC activity since {!enable} (absolute counters if
-    the probe was never enabled). The denominator for attribution
+    the probe was never enabled). It runs a minor collection first, as
+    {!enable} does, so [minor_words] is exact to the word rather than a
+    whole number of minor heaps. The denominator for attribution
     coverage: per-span minor words should account for ~all of it. *)
 
 val domain_minor_words : unit -> float

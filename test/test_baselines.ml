@@ -102,6 +102,70 @@ let prop_dolev_strong =
       let s = B.run_dolev_strong ~t ~faulty ~inputs ~adversary:(fun _ -> Bap_sim.Adversary.silent) () in
       s.B.agreement && s.B.validity)
 
+(* Faulty senders that reveal each message to a third of the recipients,
+   drawn afresh per message: honest processes first see a faulty value
+   in different rounds. *)
+let selective_reveal seed : B.S.W.t Adversary.t =
+  {
+    Adversary.name = "selective-reveal";
+    make =
+      (fun ~n ~faulty:_ ->
+        let rng = Rng.create seed in
+        fun _view ~src:_ outbox ->
+          Adversary.per_recipient ~n
+            (fun ~dst:_ m -> if Rng.int rng 3 = 0 then [ m ] else [])
+            outbox);
+  }
+
+(* Faulty processes pass chains along the faulty ids in ascending order:
+   in round r < f each sends only to the r-th (counted from 0), and in
+   round f only to the lowest honest id. The lowest faulty id's chain of
+   length f thus first reaches an honest process in round f, which must
+   relay it to everyone with f+1 signatures. *)
+let late_reveal : B.S.W.t Adversary.t =
+  {
+    Adversary.name = "late-reveal";
+    make =
+      (fun ~n ~faulty ->
+        let ids = Array.copy faulty in
+        Array.sort Int.compare ids;
+        let f = Array.length ids in
+        let target = List.find (fun i -> not (Array.mem i ids)) (List.init n Fun.id) in
+        fun view ~src:_ outbox ->
+          let r = view.Adversary.round in
+          let only = if r < f then ids.(r) else if r = f then target else -1 in
+          Adversary.per_recipient ~n (fun ~dst m -> if dst = only then [ m ] else []) outbox);
+  }
+
+let prop_dolev_strong_revealing =
+  qcheck ~count:40 ~name:"Dolev-Strong under revealing faulty senders"
+    QCheck2.Gen.(
+      let* n = int_range 5 13 in
+      let t = (n - 1) / 2 in
+      let* f = int_range 0 t in
+      let* seed = int_range 0 1_000_000 in
+      return (n, t, f, seed))
+    (fun (n, t, f, seed) ->
+      let rng = Rng.create seed in
+      let faulty = random_faulty rng ~n ~f in
+      let inputs = Array.init n (fun _ -> Rng.int rng 2) in
+      let first_faulty = Array.fold_left min n faulty in
+      let holds adversary ~late =
+        let adversary _ = adversary in
+        let s = B.run_dolev_strong ~t ~faulty ~inputs ~adversary () in
+        let vectors = B.run_interactive_consistency ~t ~faulty ~inputs ~adversary () in
+        s.B.agreement && s.B.validity
+        &&
+        match vectors with
+        | [] -> false
+        | (_, v) :: rest ->
+          List.for_all (fun (_, w) -> w = v) rest
+          && Array.for_all Fun.id
+               (Array.mapi (fun i slot -> Array.mem i faulty || slot = Some inputs.(i)) v)
+          && ((not late) || f = 0 || v.(first_faulty) = Some inputs.(first_faulty))
+      in
+      holds (selective_reveal seed) ~late:false && holds late_reveal ~late:true)
+
 let suite =
   [
     Alcotest.test_case "early-stopping baseline" `Quick test_es_baseline;
@@ -110,6 +174,7 @@ let suite =
     Alcotest.test_case "Dolev-Strong validity" `Quick test_dolev_strong_validity;
     prop_es_baseline;
     prop_dolev_strong;
+    prop_dolev_strong_revealing;
     Alcotest.test_case "interactive consistency" `Quick test_interactive_consistency;
     Alcotest.test_case "interactive consistency, silent faults" `Quick
       test_interactive_consistency_silent_faults;

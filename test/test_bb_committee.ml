@@ -26,8 +26,8 @@ let run_bb ?adversary ~n ~t ~k ~faulty ~sender ~committee ~inputs () =
   let outcome =
     run_protocol ~adversary ~n ~faulty (fun ctx ->
         let i = S.R.id ctx in
-        S.Bb_committee.run_single ctx ~pki ~key:(Pki.key pki i) ~t ~k ~tag:4
-          ~cc:certs.(i) ~sender inputs.(i))
+        (S.Bb_committee.run ctx ~pki ~key:(Pki.key pki i) ~quorum:(t + 1) ~k ~tag:4
+           ~cc:certs.(i) ~senders:[ sender ] inputs.(i)).(sender))
   in
   (S.R.honest_decisions outcome, outcome, pki)
 
@@ -144,8 +144,8 @@ let test_forged_cert_rejected () =
     run_protocol ~n ~faulty:[||] (fun ctx ->
         let i = S.R.id ctx in
         let cc = if i = 0 then Some weak_cert else None in
-        S.Bb_committee.run_single ctx ~pki ~key:(Pki.key pki i) ~t ~k ~tag:4 ~cc
-          ~sender:0 55)
+        (S.Bb_committee.run ctx ~pki ~key:(Pki.key pki i) ~quorum:(t + 1) ~k ~tag:4 ~cc
+           ~senders:[ 0 ] 55).(0))
   in
   List.iter
     (fun (_, v) -> Alcotest.(check (option int)) "bot" None v)

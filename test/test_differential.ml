@@ -4,8 +4,8 @@
    1. Plain unauthenticated graded consensus vs Algorithm 3 with
       L = {0..n-1} and k = t on a system with n = 3t + 1: the thresholds
       coincide (2k+1 = n-t, k+1 = t+1), so outputs must match exactly.
-   2. Byzantine broadcast: [run_single] vs the same instance inside
-      [run_parallel]. *)
+   2. Byzantine broadcast: one sender's instance run alone vs the same
+      instance run alongside every other sender's. *)
 
 open Helpers
 
@@ -39,8 +39,8 @@ let prop_gc_plain_vs_core_set =
       in
       S.R.honest_decisions plain = S.R.honest_decisions core)
 
-let prop_bb_single_vs_parallel =
-  qcheck ~count:40 ~name:"BB run_single == its slot of run_parallel"
+let prop_bb_one_vs_all_senders =
+  qcheck ~count:40 ~name:"BB one sender == its slot of all senders"
     QCheck2.Gen.(
       let* n = int_range 5 12 in
       let* t = int_range 1 (n / 2) in
@@ -52,8 +52,8 @@ let prop_bb_single_vs_parallel =
       let rng = Rng.create seed in
       let inputs = Array.init n (fun _ -> Rng.int rng 5) in
       (* Everyone is on the committee (certs for all), no faults: the
-         parallel run must reproduce the single run slot for slot. *)
-      let make_run single =
+         all-senders run must reproduce the one-sender run in its slot. *)
+      let make_run senders =
         let pki = Pki.create ~n in
         let cert i =
           Some
@@ -66,18 +66,13 @@ let prop_bb_single_vs_parallel =
         in
         run_protocol ~n ~faulty:[||] (fun ctx ->
             let i = S.R.id ctx in
-            if single then
-              [| S.Bb_committee.run_single ctx ~pki ~key:(Pki.key pki i) ~t ~k ~tag:4
-                   ~cc:(cert i) ~sender inputs.(i) |]
-            else
-              let all =
-                S.Bb_committee.run_parallel ctx ~pki ~key:(Pki.key pki i) ~t ~k ~tag:4
-                  ~cc:(cert i) inputs.(i)
-              in
-              [| all.(sender) |])
+            let out =
+              S.Bb_committee.run ctx ~pki ~key:(Pki.key pki i) ~quorum:(t + 1) ~k ~tag:4
+                ~cc:(cert i) ~senders inputs.(i)
+            in
+            out.(sender))
       in
-      let single = make_run true and parallel = make_run false in
-      List.map snd (S.R.honest_decisions single)
-      = List.map snd (S.R.honest_decisions parallel))
+      let one = make_run [ sender ] and all = make_run (List.init n Fun.id) in
+      List.map snd (S.R.honest_decisions one) = List.map snd (S.R.honest_decisions all))
 
-let suite = [ prop_gc_plain_vs_core_set; prop_bb_single_vs_parallel ]
+let suite = [ prop_gc_plain_vs_core_set; prop_bb_one_vs_all_senders ]

@@ -206,6 +206,19 @@ let test_abandoned_frames () =
         (spans "orphan");
       Alcotest.(check (option int)) "later spans fold normally" (Some 1) (spans "next"))
 
+let test_process_delta_exact () =
+  (* The process total counts words still on the minor heap: a small
+     allocation shows as itself, not as zero or a whole minor heap. *)
+  with_probe (fun () ->
+      let before = Memprobe.domain_minor_words () in
+      churn 10_000;
+      let allocated = int_of_float (Memprobe.domain_minor_words () -. before) in
+      let got = int_of_float (Memprobe.process_delta ()).Memprobe.minor_words in
+      Alcotest.(check bool)
+        (Printf.sprintf "process minor words %d within [%d, %d + 1000]" got allocated allocated)
+        true
+        (allocated >= 30_000 && got >= allocated && got <= allocated + 1000))
+
 (* ---------- the alloc report parses its own output ---------- *)
 
 let test_alloc_report_roundtrip () =
@@ -317,6 +330,8 @@ let suite =
       test_alloc_self_time;
     Alcotest.test_case "abandoned fiber: its frames do not leak" `Quick
       test_abandoned_frames;
+    Alcotest.test_case "process delta counts a small allocation exactly" `Quick
+      test_process_delta_exact;
     Alcotest.test_case "alloc report parses its own output" `Quick
       test_alloc_report_roundtrip;
     Alcotest.test_case "probe on: alloc registry agrees with the trace" `Quick

@@ -1,5 +1,6 @@
 (* Wire-format validation: committee certificates, message chains and
-   Dolev-Strong chains must reject every tampering we can produce. *)
+   Dolev-Strong (quorum-0) chains must reject every tampering we can
+   produce. *)
 
 open Helpers
 module W = S.W
@@ -94,39 +95,33 @@ let test_chain_foreign_cert () =
   Alcotest.(check bool) "cert must match signer" false
     (W.valid_chain pki ~quorum:3 ~sender:4 ~length:2 c2)
 
-let make_ds_root pki ~sender v =
-  let link_sig = Pki.sign (Pki.key pki sender) (W.ds_root_payload ~sender v) in
-  W.Ds_root { sender; value = v; link_sig }
-
-let ds_extend pki ~signer chain =
-  let link_sig = Pki.sign (Pki.key pki signer) (W.ds_link_payload chain) in
-  W.Ds_link { prev = chain; signer; link_sig }
-
+(* Dolev-Strong chains are quorum-0 committee chains: every process
+   certifies itself with zero signatures. *)
 let test_ds_chain_valid () =
   let pki = make_pki 6 in
-  let c = make_ds_root pki ~sender:0 9 in
-  let c2 = ds_extend pki ~signer:1 c in
-  let c3 = ds_extend pki ~signer:2 c2 in
+  let c = make_root pki ~quorum:0 ~sender:0 9 in
+  let c2 = extend pki ~quorum:0 ~signer:1 c in
+  let c3 = extend pki ~quorum:0 ~signer:2 c2 in
   Alcotest.(check bool) "length 3 valid" true
-    (W.valid_ds_chain pki ~sender:0 ~length:3 c3);
-  Alcotest.(check int) "value" 9 (W.ds_chain_value c3);
-  Alcotest.(check (list int)) "signers in order" [ 0; 1; 2 ] (W.ds_chain_signers c3)
+    (W.valid_chain pki ~quorum:0 ~sender:0 ~length:3 c3);
+  Alcotest.(check int) "value" 9 (W.chain_value c3);
+  Alcotest.(check (list int)) "signers in order" [ 0; 1; 2 ] (W.chain_signers c3)
 
 let test_ds_chain_duplicate () =
   let pki = make_pki 6 in
-  let c = make_ds_root pki ~sender:0 9 in
-  let c2 = ds_extend pki ~signer:0 c in
+  let c = make_root pki ~quorum:0 ~sender:0 9 in
+  let c2 = extend pki ~quorum:0 ~signer:0 c in
   Alcotest.(check bool) "duplicate signer rejected" false
-    (W.valid_ds_chain pki ~sender:0 ~length:2 c2)
+    (W.valid_chain pki ~quorum:0 ~sender:0 ~length:2 c2)
 
 let test_ds_chain_tamper () =
   let pki = make_pki 6 in
-  match make_ds_root pki ~sender:0 9 with
-  | W.Ds_root r ->
-    let tampered = W.Ds_root { r with value = 10 } in
+  match make_root pki ~quorum:0 ~sender:0 9 with
+  | W.Chain_root r ->
+    let tampered = W.Chain_root { r with value = 10 } in
     Alcotest.(check bool) "tamper rejected" false
-      (W.valid_ds_chain pki ~sender:0 ~length:1 tampered)
-  | W.Ds_link _ -> Alcotest.fail "unexpected"
+      (W.valid_chain pki ~quorum:0 ~sender:0 ~length:1 tampered)
+  | W.Chain_link _ -> Alcotest.fail "unexpected"
 
 let test_echo_cert () =
   let pki = make_pki 6 in

@@ -158,27 +158,10 @@ let prop_ds_tamper_rejected =
     (fun (_seed, len, v) ->
       let n = 8 in
       let pki = Pki.create ~n in
-      let root =
-        let link_sig = Pki.sign (Pki.key pki 0) (W.ds_root_payload ~sender:0 v) in
-        W.Ds_root { sender = 0; value = v; link_sig }
-      in
-      let chain =
-        List.fold_left
-          (fun c signer ->
-            let link_sig = Pki.sign (Pki.key pki signer) (W.ds_link_payload c) in
-            W.Ds_link { prev = c; signer; link_sig })
-          root
-          (List.init (len - 1) (fun i -> i + 1))
-      in
-      let tampered =
-        let rec go = function
-          | W.Ds_root r -> W.Ds_root { r with value = r.value + 1 }
-          | W.Ds_link l -> W.Ds_link { l with prev = go l.prev }
-        in
-        go chain
-      in
-      W.valid_ds_chain pki ~sender:0 ~length:len chain
-      && not (W.valid_ds_chain pki ~sender:0 ~length:len tampered))
+      (* Zero-signature certificates: the Dolev-Strong chains. *)
+      let chain = make_chain pki ~quorum:0 ~sender:0 ~signers:(List.init (len - 1) succ) v in
+      W.valid_chain pki ~quorum:0 ~sender:0 ~length:len chain
+      && not (W.valid_chain pki ~quorum:0 ~sender:0 ~length:len (flip_root_value chain)))
 
 (* -- plain-message codec under corruption -- *)
 
