@@ -249,8 +249,7 @@ let cmd =
       & info [ "stats-json" ] ~docv:"FILE"
           ~doc:
             "Write Engine.stats (journal hits, retries, quarantined \
-             cells, ledgers, wall, jobs) as JSON. Consumable by bap_gate \
-             --check-stats.")
+             cells, ledgers, wall, jobs) as JSON.")
   in
   Cmd.v
     (Cmd.info "bap_tables" ~doc:"Regenerate the reproduction experiment tables")

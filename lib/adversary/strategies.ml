@@ -123,7 +123,7 @@ module Make (V : Value.S) (W : Wire.S with type value = V.t) = struct
                 {
                   W.sv_dealer = src;
                   sv_value = v;
-                  sv_sig = Pki.sign key (W.dealer_payload ~dealer:src v);
+                  sv_sig = Pki.sign key (W.dealer_payload ~tag:tg ~dealer:src v);
                 }
               in
               [ W.Gcast_init (tg, sv') ]

@@ -20,12 +20,6 @@ val all_protocols : E.protocol list
 val protocol_of_name : string -> E.protocol option
 (** Inverse of {!E.protocol_name}; [None] on unknown names. *)
 
-val gen_config : Bap_sim.Rng.t -> protocols:E.protocol list -> E.config
-(** One random configuration, schedule included, drawn entirely from
-    the given stream. Sizes stay small (n <= 13): the execution space a
-    fuzzer explores grows with schedules and fault sets, not with n,
-    and small systems hit quorum boundaries far more often. *)
-
 val run_one : ?sabotage:bool -> E.config -> E.report
 
 val shrink : ?sabotage:bool -> E.config -> Schedule.t

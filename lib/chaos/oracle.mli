@@ -13,12 +13,6 @@ module Make (V : Bap_core.Value.S) (W : Bap_core.Wire.S with type value = V.t) :
 
   val pp_violation : Format.formatter -> violation -> unit
 
-  val check_agreement : (int * V.t) list -> violation list
-  val check_validity :
-    inputs:V.t array -> is_faulty:bool array -> (int * V.t) list -> violation list
-  val check_termination : rounds:int -> bound:int -> violation list
-  val check_monitor : n:int -> is_faulty:bool array -> W.t Bap_sim.Trace.t -> violation list
-
   val check :
     n:int ->
     faulty:int array ->

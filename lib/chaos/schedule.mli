@@ -29,8 +29,6 @@ type fault =
 
 type t = fault list
 
-val pp_fault : Format.formatter -> fault -> unit
-
 val pp : Format.formatter -> t -> unit
 (** Prints as a pasteable OCaml literal. *)
 

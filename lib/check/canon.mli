@@ -3,18 +3,14 @@
 
     The protocols are not fully id-symmetric (phase kings are fixed by
     identifier; the wrapper's trust ranking breaks ties by identifier),
-    so the reduction only permutes ids at or above a per-family
-    {!role_bound}, and only when the permutation is an automorphism of
-    the whole configuration. Falling back to the identity loses a
-    potential dedup hit, never soundness. *)
+    so the reduction only permutes ids above the kings' ids [0 .. t] in
+    the phase-king families, never in the wrapper families (their
+    trust-ranking tie-breaks make every id significant), and only when
+    the permutation is an automorphism of the whole configuration.
+    Falling back to the identity loses a potential dedup hit, never
+    soundness. *)
 
 module E = Bap_chaos.Fuzz.E
-
-val role_bound : protocol:E.protocol -> t:int -> int
-(** Ids below this may carry a protocol role and are never permuted.
-    [t + 1] for the phase-king families (kings are ids [0 .. t]);
-    [max_int] — reduction disabled — for the wrapper families, whose
-    trust-ranking tie-breaks make every id significant. *)
 
 val canonicalize : E.config -> E.config
 (** The symmetry representative: plain ids (at or above the role bound,

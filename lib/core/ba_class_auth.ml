@@ -22,30 +22,7 @@ module Inbox = Bap_sim.Inbox
 module Make
     (V : Value.S)
     (W : Wire.S with type value = V.t)
-    (R : Bap_sim.Runtime.S with type msg = W.t) : sig
-  val rounds : k:int -> int
-  (** Exactly [k + 3]. *)
-
-  val feasible : n:int -> t:int -> k:int -> bool
-  (** [2k+1 <= n - t - k] and [t < n/2]. *)
-
-  val max_feasible_k : n:int -> t:int -> int
-
-  val run :
-    ?memo:W.memo ->
-    R.ctx ->
-    pki:Pki.t ->
-    key:Pki.key ->
-    t:int ->
-    k:int ->
-    base_tag:W.tag ->
-    V.t ->
-    Advice.t ->
-    V.t
-  (** Consumes tags [base_tag .. base_tag + 2]. [memo] is the
-      execution's validation memo (see {!Wire.S.memo}); without one, the
-      call runs on a fresh memo of its own. *)
-end = struct
+    (R : Bap_sim.Runtime.S with type msg = W.t) = struct
   module Bb = Bb_committee.Make (V) (W) (R)
 
   let rounds ~k = k + 3

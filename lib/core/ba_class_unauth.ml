@@ -18,22 +18,7 @@ module Advice = Bap_prediction.Advice
 module Make
     (V : Value.S)
     (W : Wire.S with type value = V.t)
-    (R : Bap_sim.Runtime.S with type msg = W.t) : sig
-  val rounds : k:int -> int
-  (** Exactly [5 * (2k + 1)]. *)
-
-  val feasible : n:int -> t:int -> k:int -> bool
-  (** The side condition [(2k+1)(3k+1) <= n - t - k] under which
-      Theorem 5 applies. *)
-
-  val max_feasible_k : n:int -> t:int -> int
-  (** Largest [k >= 0] with [feasible ~n ~t ~k], or [-1] if none. *)
-
-  val run :
-    R.ctx -> t:int -> k:int -> base_tag:W.tag -> V.t -> Advice.t -> V.t
-  (** [run ctx ~t ~k ~base_tag input classification] consumes tags
-      [base_tag .. base_tag + 3*(2k+1) - 1]. *)
-end = struct
+    (R : Bap_sim.Runtime.S with type msg = W.t) = struct
   module Gc = Graded_core_set.Make (V) (W) (R)
   module Conc = Conciliate.Make (V) (W) (R)
 

@@ -24,25 +24,7 @@ module Pki = Bap_crypto.Pki
 module Make
     (V : Value.S)
     (W : Wire.S with type value = V.t)
-    (R : Bap_sim.Runtime.S with type msg = W.t) : sig
-  val rounds : k:int -> int
-  (** Exactly [k + 1]. *)
-
-  val run :
-    ?memo:W.memo ->
-    R.ctx ->
-    pki:Pki.t ->
-    key:Pki.key ->
-    quorum:int ->
-    k:int ->
-    tag:W.tag ->
-    cc:W.committee_cert option ->
-    senders:int list ->
-    V.t ->
-    V.t option array
-  (** One instance per process in [senders], over the same k+1 rounds;
-      slot [s] of the result is instance [s]'s output. *)
-end = struct
+    (R : Bap_sim.Runtime.S with type msg = W.t) = struct
   let rounds ~k = k + 1
 
   type instance_state = {

@@ -6,17 +6,7 @@ module Inbox = Bap_sim.Inbox
 
 module Make
     (W : Wire.S)
-    (R : Bap_sim.Runtime.S with type msg = W.t) : sig
-  val rounds : int
-  (** Always 1. *)
-
-  val run : R.ctx -> Advice.t -> Advice.t
-  (** [run ctx advice] broadcasts the advice vector, collects everyone
-      else's, and returns this process's classification [c_i]. A process
-      [j] is classified honest iff at least [ceil((n+1)/2)] received
-      vectors (own included) predict it honest; vectors of the wrong
-      length and duplicate vectors from one sender are ignored. *)
-end = struct
+    (R : Bap_sim.Runtime.S with type msg = W.t) = struct
   module Ps = Phase_span.Make (R)
 
   let rounds = 1

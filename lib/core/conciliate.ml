@@ -16,12 +16,7 @@ module Inbox = Bap_sim.Inbox
 module Make
     (V : Value.S)
     (W : Wire.S with type value = V.t)
-    (R : Bap_sim.Runtime.S with type msg = W.t) : sig
-  val rounds : int
-  (** Always 1. *)
-
-  val run : R.ctx -> l_set:int list -> tag:W.tag -> V.t -> V.t
-end = struct
+    (R : Bap_sim.Runtime.S with type msg = W.t) = struct
   let rounds = 1
 
   module Ps = Phase_span.Make (R)

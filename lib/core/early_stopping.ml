@@ -27,24 +27,7 @@
 module Make
     (V : Value.S)
     (W : Wire.S with type value = V.t)
-    (R : Bap_sim.Runtime.S with type msg = W.t) : sig
-  type gc = R.ctx -> tag:W.tag -> V.t -> V.t * int
-  (** A graded consensus of fixed duration. *)
-
-  val rounds : gc_rounds:int -> phases:int -> int
-  (** [phases * (2 * gc_rounds + 1)]. *)
-
-  val tags_used : phases:int -> int
-  (** 3 per phase. *)
-
-  type 'v result = { value : 'v; decided_round : int }
-  (** [decided_round] is the runtime round in which the decision was
-      fixed (0 when the protocol fell back to its current value at the
-      end without a grade-1 confirmation). *)
-
-  val run :
-    R.ctx -> gc:gc -> gc_rounds:int -> phases:int -> base_tag:W.tag -> V.t -> V.t result
-end = struct
+    (R : Bap_sim.Runtime.S with type msg = W.t) = struct
   type 'v result = { value : 'v; decided_round : int }
   type gc = R.ctx -> tag:W.tag -> V.t -> V.t * int
 

@@ -52,31 +52,7 @@ module Bitset = Bap_sim.Bitset
 module Make
     (V : Value.S)
     (W : Wire.S with type value = V.t)
-    (R : Bap_sim.Runtime.S with type msg = W.t) : sig
-  val rounds : int
-  (** Always 3. *)
-
-  val gradecast :
-    ?memo:W.memo ->
-    R.ctx ->
-    pki:Pki.t ->
-    key:Pki.key ->
-    t:int ->
-    tag:W.tag ->
-    V.t ->
-    (V.t * int) option array
-  (** The underlying n-dealer signed gradecast: slot [d] holds process
-      [d]'s delivered [(value, level)] with level 2 or 1, or [None] for
-      bot. For t < n/2: an honest dealer is delivered at level 2 by
-      everyone, and a level-2 delivery at any honest process forces a
-      level >= 1 delivery of the same value at every honest process. *)
-
-  val run :
-    ?memo:W.memo -> R.ctx -> pki:Pki.t -> key:Pki.key -> t:int -> tag:W.tag -> V.t -> V.t * int
-  (** Requires t < n/2 for the guarantees. Consumes one tag. [memo] is
-      the execution's validation memo (see {!Wire.S.memo}); without one,
-      the call runs on a fresh memo of its own. *)
-end = struct
+    (R : Bap_sim.Runtime.S with type msg = W.t) = struct
   let rounds = 3
 
   (* The echoes collected for one (dealer, value) pair: a bitset of the
@@ -111,7 +87,7 @@ end = struct
         let st = states.(d) in
         if
           (not (List.exists (fun (w, _) -> V.equal w sv.W.sv_value) st.proposals))
-          && W.valid_signed_value ~memo pki sv
+          && W.valid_signed_value ~memo pki ~tag sv
         then st.proposals <- (sv.W.sv_value, sv) :: st.proposals
       end
     in
@@ -125,8 +101,10 @@ end = struct
         let sv_known_valid = List.exists (fun (w, _) -> V.equal w v') st.proposals in
         if
           (match tally with Some ta -> not (Bitset.mem ta.echoers echoer) | None -> true)
-          && (sv_known_valid || W.valid_signed_value ~memo pki sv)
-          && Pki.verify pki ~signer:echoer ~payload:(W.echo_payload ~memo ~dealer:d v') echo_sig
+          && (sv_known_valid || W.valid_signed_value ~memo pki ~tag sv)
+          && Pki.verify pki ~signer:echoer
+               ~payload:(W.echo_payload ~memo ~tag ~dealer:d v')
+               echo_sig
         then begin
           note_proposal d sv;
           let ta =
@@ -149,7 +127,7 @@ end = struct
         let v' = cert.W.ec_signed.W.sv_value in
         if
           (not (List.exists (fun (w, _) -> V.equal w v') st.certs))
-          && W.valid_echo_cert ~memo pki ~threshold:quorum cert
+          && W.valid_echo_cert ~memo pki ~tag ~threshold:quorum cert
         then begin
           note_proposal d cert.W.ec_signed;
           st.certs <- (v', cert) :: st.certs
@@ -162,7 +140,7 @@ end = struct
       {
         W.sv_dealer = me;
         sv_value = v;
-        sv_sig = Pki.sign key (W.dealer_payload ~memo ~dealer:me v);
+        sv_sig = Pki.sign key (W.dealer_payload ~memo ~tag ~dealer:me v);
       }
     in
     let inbox1 = R.broadcast ctx (W.Gcast_init (tag, my_sv)) in
@@ -170,7 +148,7 @@ end = struct
         List.iter
           (function
             | W.Gcast_init (tg, sv)
-              when tg = tag && sv.W.sv_dealer = sender && W.valid_signed_value ~memo pki sv ->
+              when tg = tag && sv.W.sv_dealer = sender && W.valid_signed_value ~memo pki ~tag sv ->
               note_proposal sender sv;
               if Option.is_none states.(sender).direct then states.(sender).direct <- Some sv
             | _ -> ())
@@ -182,7 +160,7 @@ end = struct
           match st.direct with
           | None -> None
           | Some sv ->
-            let payload = W.echo_payload ~memo ~dealer:sv.W.sv_dealer sv.W.sv_value in
+            let payload = W.echo_payload ~memo ~tag ~dealer:sv.W.sv_dealer sv.W.sv_value in
             Some { W.ge_signed = sv; ge_sig = Pki.sign key payload })
         (Array.to_list states)
     in
@@ -244,8 +222,8 @@ end = struct
                     | Some (a, b)
                       when a.W.sv_dealer = d && b.W.sv_dealer = d
                            && (not (V.equal a.W.sv_value b.W.sv_value))
-                           && W.valid_signed_value ~memo pki a
-                           && W.valid_signed_value ~memo pki b ->
+                           && W.valid_signed_value ~memo pki ~tag a
+                           && W.valid_signed_value ~memo pki ~tag b ->
                       note_proposal d a;
                       note_proposal d b
                     | _ -> ()

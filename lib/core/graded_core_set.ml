@@ -12,16 +12,7 @@ module Inbox = Bap_sim.Inbox
 module Make
     (V : Value.S)
     (W : Wire.S with type value = V.t)
-    (R : Bap_sim.Runtime.S with type msg = W.t) : sig
-  val rounds : int
-  (** Always 2. *)
-
-  val run : R.ctx -> k:int -> l_set:int list -> tag:W.tag -> V.t -> V.t * int
-  (** [run ctx ~k ~l_set ~tag v] plays Algorithm 3 with listening set
-      [l_set] (which must have size 3k+1 for the guarantees to apply).
-      Only processes with [id ctx] in their own [l_set] send messages;
-      messages from senders outside [l_set] are ignored. *)
-end = struct
+    (R : Bap_sim.Runtime.S with type msg = W.t) = struct
   let rounds = 2
 
   module Ps = Phase_span.Make (R)

@@ -22,14 +22,7 @@ module Inbox = Bap_sim.Inbox
 module Make
     (V : Value.S)
     (W : Wire.S with type value = V.t)
-    (R : Bap_sim.Runtime.S with type msg = W.t) : sig
-  val rounds : int
-  (** Always 2. *)
-
-  val run : R.ctx -> t:int -> tag:W.tag -> V.t -> V.t * int
-  (** Returns [(value, grade)] with grade 0 or 1. Requires t < n/3 for
-      the strong-unanimity and coherence guarantees. *)
-end = struct
+    (R : Bap_sim.Runtime.S with type msg = W.t) = struct
   module Ps = Phase_span.Make (R)
 
   let rounds = 2

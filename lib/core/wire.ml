@@ -61,32 +61,33 @@ module type S = sig
 
   type memo
   (** What one execution has already encoded and checked, shared by all
-      of its processes: each (dealer, value) pair's gradecast payloads,
-      each committee certificate's validity and encoding, and each chain
-      node's link check and encoding. Certificates and chain nodes are
-      keyed by physical identity, so a structurally equal copy is checked
-      afresh. *)
+      of its processes: each (tag, dealer, value) triple's gradecast
+      payloads, each committee certificate's validity and encoding, and
+      each chain node's link check and encoding. Certificates and chain
+      nodes are keyed by physical identity, so a structurally equal copy
+      is checked afresh. *)
 
   val memo : Pki.t -> memo
   (** An empty memo for one execution under [pki]. The validators below
       raise [Invalid_argument] when given a memo of another PKI. *)
 
   (* Signature payloads. Given a memo, each is encoded once per
-     execution. *)
+     execution. Gradecast payloads carry the instance tag. *)
 
   val committee_payload : int -> string
-  val dealer_payload : ?memo:memo -> dealer:int -> value -> string
-  val echo_payload : ?memo:memo -> dealer:int -> value -> string
+  val dealer_payload : ?memo:memo -> tag:tag -> dealer:int -> value -> string
+  val echo_payload : ?memo:memo -> tag:tag -> dealer:int -> value -> string
   val chain_root_payload : ?memo:memo -> value -> committee_cert -> string
   val chain_link_payload : ?memo:memo -> chain -> committee_cert -> string
 
   (* Validation. Without a memo, each call runs on a fresh one. *)
 
-  val valid_signed_value : ?memo:memo -> Pki.t -> signed_value -> bool
+  val valid_signed_value : ?memo:memo -> Pki.t -> tag:tag -> signed_value -> bool
 
-  val valid_echo_cert : ?memo:memo -> Pki.t -> threshold:int -> echo_cert -> bool
+  val valid_echo_cert :
+    ?memo:memo -> Pki.t -> tag:tag -> threshold:int -> echo_cert -> bool
   (** Valid iff it carries [threshold] echo signatures by distinct
-      processes over a valid dealer signature. *)
+      processes over a valid dealer signature, all under [tag]. *)
 
   val valid_committee_cert : ?memo:memo -> Pki.t -> quorum:int -> committee_cert -> bool
   (** Valid iff it carries [quorum] signatures by distinct processes on
@@ -174,11 +175,14 @@ module Make (V : Value.S) : S with type value = V.t = struct
 
   let committee_payload member = Encode.tagged "committee" (Encode.int member)
 
-  let build_dealer_payload ~dealer v =
-    Encode.tagged "dealer" (Encode.pair (Encode.int dealer) (V.encode v))
-
-  let build_echo_payload ~dealer v =
-    Encode.tagged "echo" (Encode.pair (Encode.int dealer) (V.encode v))
+  (* A gradecast payload is its kind and (dealer, value), then the
+     instance tag: the tag-free prefix [Encode.tagged kind body] is two
+     length-prefixed fields and [Encode.int tag] is one more, so the
+     bytes are those of [Encode.triple kind body (string_of_int tag)].
+     The memo encodes each prefix once per run, and the running
+     instance's tag field once. *)
+  let gradecast_prefix kind ~dealer v =
+    Encode.tagged kind (Encode.pair (Encode.int dealer) (V.encode v))
 
   let encode_committee_cert cert =
     Encode.pair
@@ -209,10 +213,18 @@ module Make (V : Value.S) : S with type value = V.t = struct
      Buckets are indexed by process id (dealer, certificate member, link
      signer); ids outside [0, n) share one overflow bucket. Within a
      bucket, certificates and chain nodes match by physical identity and
-     payloads by (dealer, value). Entries are never evicted: a memo lives
-     exactly as long as its execution. *)
+     payloads by (dealer, value), then by tag. Entries are never
+     evicted: a memo lives exactly as long as its execution. *)
 
-  type payload_entry = { pe_dealer : int; pe_value : value; pe_sign : string; pe_echo : string }
+  type tagged_pair = { tp_tag : tag; tp_sign : string; tp_echo : string }
+
+  type payload_entry = {
+    pe_dealer : int;
+    pe_value : value;
+    pe_sign : string;  (* the tag-free prefixes *)
+    pe_echo : string;
+    mutable pe_tagged : tagged_pair list;  (* newest tag first *)
+  }
 
   type cert_entry = {
     ce_cert : committee_cert;
@@ -228,6 +240,8 @@ module Make (V : Value.S) : S with type value = V.t = struct
 
   type memo = {
     pki : Pki.t;
+    mutable field_tag : tag;  (* the tag whose [Encode.int] is [tag_field] *)
+    mutable tag_field : string;
     payloads : payload_entry list array;
     certs : cert_entry list array;
     nodes : node_entry list array;
@@ -237,6 +251,8 @@ module Make (V : Value.S) : S with type value = V.t = struct
     let buckets = Pki.n pki + 1 in
     {
       pki;
+      field_tag = min_int;
+      tag_field = "";
       payloads = Array.make buckets [];
       certs = Array.make buckets [];
       nodes = Array.make buckets [];
@@ -258,16 +274,38 @@ module Make (V : Value.S) : S with type value = V.t = struct
       table.(b) <- e :: table.(b);
       e
 
-  let payload_entry m ~dealer v =
-    lookup m.payloads (bucket m dealer)
-      ~matches:(fun e -> e.pe_dealer = dealer && V.equal e.pe_value v)
-      ~create:(fun () ->
-        {
-          pe_dealer = dealer;
-          pe_value = v;
-          pe_sign = build_dealer_payload ~dealer v;
-          pe_echo = build_echo_payload ~dealer v;
-        })
+  let tag_field m tag =
+    if m.field_tag <> tag then begin
+      m.field_tag <- tag;
+      m.tag_field <- Encode.int tag
+    end;
+    m.tag_field
+
+  let tagged_payloads m ~tag ~dealer v =
+    let e =
+      lookup m.payloads (bucket m dealer)
+        ~matches:(fun e -> e.pe_dealer = dealer && V.equal e.pe_value v)
+        ~create:(fun () ->
+          {
+            pe_dealer = dealer;
+            pe_value = v;
+            pe_sign = gradecast_prefix "dealer" ~dealer v;
+            pe_echo = gradecast_prefix "echo" ~dealer v;
+            pe_tagged = [];
+          })
+    in
+    (* The running instance's tag is the newest, so its lookups stop at
+       the head. *)
+    match e.pe_tagged with
+    | p :: _ when p.tp_tag = tag -> p
+    | tagged -> (
+      match List.find_opt (fun p -> p.tp_tag = tag) tagged with
+      | Some p -> p
+      | None ->
+        let field = tag_field m tag in
+        let p = { tp_tag = tag; tp_sign = e.pe_sign ^ field; tp_echo = e.pe_echo ^ field } in
+        e.pe_tagged <- p :: tagged;
+        p)
 
   let cert_entry m cert =
     lookup m.certs (bucket m cert.cc_member)
@@ -308,15 +346,15 @@ module Make (V : Value.S) : S with type value = V.t = struct
 
   (* -- Signature payloads -- *)
 
-  let dealer_payload ?memo ~dealer v =
+  let dealer_payload ?memo ~tag ~dealer v =
     match memo with
-    | Some m -> (payload_entry m ~dealer v).pe_sign
-    | None -> build_dealer_payload ~dealer v
+    | Some m -> (tagged_payloads m ~tag ~dealer v).tp_sign
+    | None -> gradecast_prefix "dealer" ~dealer v ^ Encode.int tag
 
-  let echo_payload ?memo ~dealer v =
+  let echo_payload ?memo ~tag ~dealer v =
     match memo with
-    | Some m -> (payload_entry m ~dealer v).pe_echo
-    | None -> build_echo_payload ~dealer v
+    | Some m -> (tagged_payloads m ~tag ~dealer v).tp_echo
+    | None -> gradecast_prefix "echo" ~dealer v ^ Encode.int tag
 
   let chain_root_payload ?memo v cert =
     let cert_enc =
@@ -334,18 +372,18 @@ module Make (V : Value.S) : S with type value = V.t = struct
 
   (* -- Validation -- *)
 
-  let valid_signed_value ?memo pki sv =
+  let valid_signed_value ?memo pki ~tag sv =
     Pki.verify pki ~signer:sv.sv_dealer
-      ~payload:(dealer_payload ?memo ~dealer:sv.sv_dealer sv.sv_value)
+      ~payload:(dealer_payload ?memo ~tag ~dealer:sv.sv_dealer sv.sv_value)
       sv.sv_sig
 
-  let valid_echo_cert ?memo pki ~threshold cert =
+  let valid_echo_cert ?memo pki ~tag ~threshold cert =
     let sv = cert.ec_signed in
-    valid_signed_value ?memo pki sv
+    valid_signed_value ?memo pki ~tag sv
     && List.length cert.ec_echoes >= threshold
     && distinct_signers cert.ec_echoes
     &&
-    let payload = echo_payload ?memo ~dealer:sv.sv_dealer sv.sv_value in
+    let payload = echo_payload ?memo ~tag ~dealer:sv.sv_dealer sv.sv_value in
     List.for_all (fun (echoer, s) -> Pki.verify pki ~signer:echoer ~payload s) cert.ec_echoes
 
   let cert_ok m ~quorum cert = List.length cert.cc_sigs >= quorum && (cert_entry m cert).ce_sigs_ok

@@ -64,12 +64,13 @@ module type S = sig
 
   type memo
   (** What one execution has already encoded and checked, shared by all
-      of its processes: each (dealer, value) pair's gradecast payloads,
-      each committee certificate's validity and encoding, and each chain
-      node's link check and encoding. Certificates and chain nodes are
-      keyed by physical identity, so a structurally equal copy is checked
-      afresh. Sound because {!Pki.verify} is pure and wire values are
-      immutable; the harness never hands a memo to the adversary. *)
+      of its processes: each (tag, dealer, value) triple's gradecast
+      payloads, each committee certificate's validity and encoding, and
+      each chain node's link check and encoding. Certificates and chain
+      nodes are keyed by physical identity, so a structurally equal copy
+      is checked afresh. Sound because {!Pki.verify} is pure and wire
+      values are immutable; the harness never hands a memo to the
+      adversary. *)
 
   val memo : Pki.t -> memo
   (** An empty memo for one execution under [pki]. The validators below
@@ -77,13 +78,15 @@ module type S = sig
 
   (** {1 Signature payloads}
 
-      Given a memo, each payload is encoded once per execution. Payloads
-      carry no instance tag, so a (dealer, value) pair encodes to the same
-      bytes in every gradecast of an execution. *)
+      Given a memo, each payload is encoded once per execution.
+      Gradecast's dealer and echo payloads carry the instance tag beside
+      the dealer and the value, so a signature made in one gradecast
+      never verifies in another gradecast of the same execution: a
+      faulty process cannot replay another instance's certificates. *)
 
   val committee_payload : int -> string
-  val dealer_payload : ?memo:memo -> dealer:int -> value -> string
-  val echo_payload : ?memo:memo -> dealer:int -> value -> string
+  val dealer_payload : ?memo:memo -> tag:tag -> dealer:int -> value -> string
+  val echo_payload : ?memo:memo -> tag:tag -> dealer:int -> value -> string
   val chain_root_payload : ?memo:memo -> value -> committee_cert -> string
   val chain_link_payload : ?memo:memo -> chain -> committee_cert -> string
 
@@ -92,11 +95,13 @@ module type S = sig
       Without a memo, each call runs on a fresh one: there is one
       validator, and the uncached call is its memoised path. *)
 
-  val valid_signed_value : ?memo:memo -> Pki.t -> signed_value -> bool
+  val valid_signed_value : ?memo:memo -> Pki.t -> tag:tag -> signed_value -> bool
+  (** Valid iff the dealer signed [dealer_payload ~tag]. *)
 
-  val valid_echo_cert : ?memo:memo -> Pki.t -> threshold:int -> echo_cert -> bool
+  val valid_echo_cert :
+    ?memo:memo -> Pki.t -> tag:tag -> threshold:int -> echo_cert -> bool
   (** Valid iff it carries [threshold] echo signatures by distinct
-      processes over a valid dealer signature. *)
+      processes over a valid dealer signature, all under [tag]. *)
 
   val valid_committee_cert : ?memo:memo -> Pki.t -> quorum:int -> committee_cert -> bool
   (** Valid iff it carries [quorum] signatures by distinct processes on

@@ -207,9 +207,8 @@ let pp_stats ppf s =
     Format.fprintf ppf ", DEGRADED: %d cell(s) quarantined"
       (List.length s.quarantined)
 
-(* Machine-readable form of the same report, for --stats-json and
-   bap_gate --check-stats. Keys are fixed; the parser side lives in
-   Bap_telemetry.Json. *)
+(* Machine-readable form of the same report, for --stats-json. Keys
+   are fixed. *)
 let stats_json (s : stats) =
   let esc = Bap_telemetry.Json.escape in
   let attempt (a : Supervisor.attempt_record) =

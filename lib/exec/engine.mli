@@ -56,7 +56,7 @@ val run :
 val stats_json : stats -> string
 (** The same report as {!pp_stats} in machine-readable JSON (version 1):
     scalar fields plus the quarantined list and per-cell failure
-    ledgers. Consumed by [bap_gate --check-stats]. *)
+    ledgers, written by [bap_tables --stats-json]. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** One-line report, e.g.

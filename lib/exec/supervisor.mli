@@ -65,8 +65,6 @@ val backoff_ms : seed:int -> key:string -> attempt:int -> int
 (** Deterministic backoff for a failed attempt: exponential base
     [25 * 2^min(attempt,6)] ms plus seeded jitter in [0, base). Pure. *)
 
-val pp_failure : Format.formatter -> failure_kind -> unit
-val pp_attempt : Format.formatter -> attempt_record -> unit
 val pp_ledger : Format.formatter -> attempt_record list -> unit
 
 val install_exit_handlers :

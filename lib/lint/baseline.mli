@@ -4,7 +4,6 @@
 type entry = { rule_id : string; file : string; line : int }
 
 val entry_of_finding : Finding.t -> entry
-val compare_entry : entry -> entry -> int
 
 val load : string -> entry list
 (** Missing file means an empty baseline. @raise Invalid_argument or

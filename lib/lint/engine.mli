@@ -1,13 +1,5 @@
 (** Source discovery and whole-tree linting. *)
 
-val scanned_roots : string list
-(** Directories under the repo root whose [.ml] files are linted:
-    [lib], [bin], [test]. *)
-
-val discover : root:string -> string list * string list
-(** Repo-relative (mls, mlis) under {!scanned_roots}, sorted — the walk
-    is deterministic regardless of readdir order. *)
-
 val lint_string : path:string -> string -> Finding.t list
 (** Lint source text as if it lived at [path] (which selects the
     allowlists). Used by the test fixtures. Interface-presence (L002)

@@ -23,5 +23,3 @@ val load : root:string -> string -> t
 val waived : t -> rule_id:string -> line:int -> bool
 (** Is this rule waived at this line (same-line or line-above
     comment)? *)
-
-val waivers_of_text : string -> (int * string list) list

@@ -21,9 +21,6 @@
 val default_max_len : int
 (** 1 MiB. *)
 
-val header_len : int
-(** 4: the big-endian length prefix. *)
-
 val encode : string -> string
 (** [encode payload] is the wire form: 4-byte big-endian length +
     payload. Raises [Invalid_argument] on payloads whose length cannot

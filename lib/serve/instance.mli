@@ -54,8 +54,6 @@ val t_of : family -> n:int -> int
 (** The fault threshold the stack is instantiated with — [(n-1)/3]
     except [Auth]'s [9n/20 - 1]. *)
 
-val validate : spec -> (unit, string) result
-
 val family_name : family -> string
 
 val key : spec -> string

@@ -65,7 +65,7 @@ let equivocating_dealer pki : Helpers.S.W.t Bap_sim.Adversary.t =
                       {
                         W.sv_dealer = src;
                         sv_value = v;
-                        sv_sig = Pki.sign key (W.dealer_payload ~dealer:src v);
+                        sv_sig = Pki.sign key (W.dealer_payload ~tag:tg ~dealer:src v);
                       } );
                 ]
               | m -> [ m ]));

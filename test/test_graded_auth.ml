@@ -55,7 +55,7 @@ let equivocating_dealer pki : Helpers.S.W.t Bap_sim.Adversary.t =
                     {
                       S.W.sv_dealer = src;
                       sv_value = v;
-                      sv_sig = Pki.sign key (S.W.dealer_payload ~dealer:src v);
+                      sv_sig = Pki.sign key (S.W.dealer_payload ~tag:tg ~dealer:src v);
                     }
                   in
                   [ S.W.Gcast_init (tg, sv') ]
@@ -155,13 +155,15 @@ let repeated_echoer ~copies pki : Helpers.S.W.t Bap_sim.Adversary.t =
         (fun ~n ~faulty:_ (view : _ Adversary.view) ~src outbox ->
           match (src, view.round) with
           | 0, 1 ->
-            let sv_sig = Pki.sign (Pki.key pki 0) (S.W.dealer_payload ~dealer:0 100) in
             per_recipient ~n
               (fun ~dst m ->
                 if dst > 3 then []
                 else
                   match m with
                   | S.W.Gcast_init (tg, _) ->
+                    let sv_sig =
+                      Pki.sign (Pki.key pki 0) (S.W.dealer_payload ~tag:tg ~dealer:0 100)
+                    in
                     [ S.W.Gcast_init (tg, { S.W.sv_dealer = 0; sv_value = 100; sv_sig }) ]
                   | m -> [ m ])
               outbox
@@ -196,6 +198,57 @@ let test_repeated_echo_counts_once () =
         None deliveries.(0))
     (S.R.honest_decisions outcome)
 
+(* Two graded consensus instances in one execution, tags 1 and 2.
+   Under tag 1 every input is 1; under tag 2 the honest inputs are 0, 0
+   and 1, and the faulty processes deal 0. In tag 2's report round,
+   faulty process 3 also sends process 2 alone every certificate that
+   honest processes reported under tag 1. Were signatures not bound to
+   their instance, each of those genuine certificates for 1 would
+   conflict at process 2 with the dealer's tag-2 certificate for 0:
+   processes 0 and 1 would output (0, 1) and process 2 (1, 0). *)
+let certificate_replayer : Helpers.S.W.t Bap_sim.Adversary.t =
+  Adversary.
+    {
+      name = "certificate-replayer";
+      make =
+        (fun ~n ~faulty:_ ->
+          let tag1_certs = ref [] in
+          fun (view : _ Adversary.view) ->
+            if view.round = 3 then
+              tag1_certs :=
+                List.concat_map
+                  (fun sender ->
+                    List.concat_map
+                      (function
+                        | S.W.Gcast_report (1, reports) ->
+                          List.filter (fun r -> Option.is_some r.S.W.gr_cert) reports
+                        | _ -> [])
+                      (view.honest_out ~sender ~recipient:sender))
+                  [ 0; 1; 2 ];
+            fun ~src outbox ->
+              if src = 3 && view.round = 6 then
+                per_recipient ~n
+                  (fun ~dst m ->
+                    if dst = 2 then [ m; S.W.Gcast_report (2, !tag1_certs) ] else [ m ])
+                  outbox
+              else outbox);
+    }
+
+let test_replayed_certificates_keep_coherence () =
+  let n = 5 and t = 2 in
+  let pki = Pki.create ~n in
+  let memo = S.W.memo pki in
+  let outcome =
+    run_protocol ~adversary:certificate_replayer ~n ~faulty:[| 3; 4 |] (fun ctx ->
+        let i = S.R.id ctx in
+        let key = Pki.key pki i in
+        ignore (S.Graded_auth.run ~memo ctx ~pki ~key ~t ~tag:1 1);
+        S.Graded_auth.run ~memo ctx ~pki ~key ~t ~tag:2 (if i = 2 then 1 else 0))
+  in
+  let decisions = S.R.honest_decisions outcome in
+  Alcotest.(check int) "all honest decide" 3 (List.length decisions);
+  Alcotest.(check bool) "coherence" true (coherent decisions)
+
 let suite =
   [
     Alcotest.test_case "strong unanimity beyond n/3" `Quick test_unanimity;
@@ -207,4 +260,6 @@ let suite =
     Alcotest.test_case "echo naming an out-of-range dealer is dropped" `Quick
       test_out_of_range_dealer;
     Alcotest.test_case "repeated echoes count once" `Quick test_repeated_echo_counts_once;
+    Alcotest.test_case "two instances: replayed certificates keep coherence" `Quick
+      test_replayed_certificates_keep_coherence;
   ]

@@ -129,23 +129,27 @@ let test_echo_cert () =
     {
       W.sv_dealer = 2;
       sv_value = 5;
-      sv_sig = Pki.sign (Pki.key pki 2) (W.dealer_payload ~dealer:2 5);
+      sv_sig = Pki.sign (Pki.key pki 2) (W.dealer_payload ~tag:1 ~dealer:2 5);
     }
   in
-  Alcotest.(check bool) "signed value valid" true (W.valid_signed_value pki sv);
+  Alcotest.(check bool) "signed value valid" true (W.valid_signed_value pki ~tag:1 sv);
+  Alcotest.(check bool) "another instance's tag" false (W.valid_signed_value pki ~tag:2 sv);
   let cert =
     {
       W.ec_signed = sv;
-      ec_echoes = List.init 4 (fun j -> (j, Pki.sign (Pki.key pki j) (W.echo_payload ~dealer:2 5)));
+      ec_echoes =
+        List.init 4 (fun j -> (j, Pki.sign (Pki.key pki j) (W.echo_payload ~tag:1 ~dealer:2 5)));
     }
   in
-  Alcotest.(check bool) "echo cert valid" true (W.valid_echo_cert pki ~threshold:4 cert);
+  Alcotest.(check bool) "echo cert valid" true (W.valid_echo_cert pki ~tag:1 ~threshold:4 cert);
   Alcotest.(check bool) "higher threshold fails" false
-    (W.valid_echo_cert pki ~threshold:5 cert);
+    (W.valid_echo_cert pki ~tag:1 ~threshold:5 cert);
+  Alcotest.(check bool) "echo cert replayed under another tag" false
+    (W.valid_echo_cert pki ~tag:2 ~threshold:4 cert);
   (* Tampered inner value invalidates the dealer signature. *)
   let bad = { cert with W.ec_signed = { sv with W.sv_value = 6 } } in
   Alcotest.(check bool) "tampered dealer value" false
-    (W.valid_echo_cert pki ~threshold:4 bad)
+    (W.valid_echo_cert pki ~tag:1 ~threshold:4 bad)
 
 let suite =
   [

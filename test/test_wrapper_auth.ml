@@ -26,6 +26,59 @@ let test_unanimity_infiltrator () =
   in
   Alcotest.(check bool) "validity" true (S.unanimous_validity ~inputs ~faulty o)
 
+(* Certificates replayed across instances, and lying kings. The faulty
+   processes follow the protocol and attack one honest target twice:
+   whenever they send a gradecast report, they also send the target a
+   report under that tag carrying every certificate that honest
+   processes reported under another tag; and as kings they send the
+   target the opposite value. Were signatures not bound to their
+   instance, the replay would hold the target at grade 0 or bot and the
+   kings would move its value: at n=6, t=2, faulty {1, 5}, the target
+   decided 1 at round 63 and processes 2-4 decided 0 at round 28. *)
+let replay_and_lying_kings ~target : S.W.t Adversary.t =
+  {
+    Adversary.name = "replay-and-lying-kings";
+    make =
+      (fun ~n ~faulty ->
+        let honest = List.filter (fun i -> not (Array.mem i faulty)) (List.init n Fun.id) in
+        let certs = ref [] (* (tag, report) of every honest certificate so far *) in
+        fun view ->
+          List.iter
+            (fun sender ->
+              List.iter
+                (function
+                  | S.W.Gcast_report (tg, reports) ->
+                    List.iter
+                      (fun r -> if Option.is_some r.S.W.gr_cert then certs := (tg, r) :: !certs)
+                      reports
+                  | _ -> ())
+                (view.Adversary.honest_out ~sender ~recipient:target))
+            honest;
+          let other_tags tg =
+            List.filter_map (fun (tg', r) -> if tg' <> tg then Some r else None) !certs
+          in
+          fun ~src:_ outbox ->
+            Adversary.per_recipient ~n
+              (fun ~dst m ->
+                match m with
+                | _ when dst <> target -> [ m ]
+                | S.W.King (tg, v) -> [ S.W.King (tg, 1 - v) ]
+                | S.W.Gcast_report (tg, _) -> [ m; S.W.Gcast_report (tg, other_tags tg) ]
+                | m -> [ m ])
+              outbox);
+  }
+
+let test_replay_with_lying_kings () =
+  let n = 6 and t = 2 in
+  let faulty = [| 1; 5 |] in
+  let inputs = [| 0; 0; 1; 1; 1; 0 |] in
+  let advice = Gen.perfect ~n ~faulty in
+  let o, _ =
+    S.run_auth ~t ~faulty ~inputs ~advice ~adversary:(fun _ -> replay_and_lying_kings ~target:0) ()
+  in
+  Alcotest.(check int) "all honest decide" 4 (List.length (S.R.honest_decisions o));
+  Alcotest.(check bool) "agreement" true (S.agreement o)
+
 let prop_agreement_grid =
   qcheck ~count:40 ~name:"Theorem 12: agreement, t < n/2, any B"
     QCheck2.Gen.(
@@ -87,6 +140,8 @@ let suite =
     Alcotest.test_case "agreement beyond n/3" `Quick test_beyond_third;
     Alcotest.test_case "unanimity vs committee infiltrator" `Quick
       test_unanimity_infiltrator;
+    Alcotest.test_case "replayed certificates and lying kings keep agreement" `Quick
+      test_replay_with_lying_kings;
     prop_agreement_grid;
     prop_perfect_advice_phase1;
   ]
